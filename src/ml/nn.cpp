@@ -73,40 +73,6 @@ constexpr double kLogVarMin = -8.0;
 constexpr double kLogVarMax = 4.0;
 }  // namespace
 
-void Mlp::forward(std::span<const double> input, std::vector<double>* acts,
-                  util::Rng* dropout_rng, std::vector<char>* masks) const {
-  // acts holds [input | layer0 out | layer1 out | ...]; pre-activation
-  // values are ReLU'd in place for hidden layers.
-  std::copy(input.begin(), input.end(), acts->begin());
-  const double keep = 1.0 - params_.dropout;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const double* in = acts->data() + act_offsets_[l];
-    double* out = acts->data() + act_offsets_[l + 1];
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      const double* w = layer.w.data() + o * layer.in;
-      double acc = layer.b[o];
-      for (std::size_t i = 0; i < layer.in; ++i) acc += w[i] * in[i];
-      out[o] = acc;
-    }
-    const bool is_hidden = l + 1 < layers_.size();
-    if (is_hidden) {
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        out[o] = std::max(0.0, out[o]);  // ReLU
-      }
-      if (dropout_rng != nullptr && params_.dropout > 0.0) {
-        // Inverted dropout; masks recorded for the backward pass.
-        char* m = masks->data() + act_offsets_[l + 1];
-        for (std::size_t o = 0; o < layer.out; ++o) {
-          const bool kept = dropout_rng->uniform() < keep;
-          m[o] = kept ? 1 : 0;
-          out[o] = kept ? out[o] / keep : 0.0;
-        }
-      }
-    }
-  }
-}
-
 const double* Mlp::forward_batch(const double* in, std::size_t n_rows,
                                  std::vector<double>& buf_a,
                                  std::vector<double>& buf_b) const {
@@ -120,7 +86,7 @@ const double* Mlp::forward_batch(const double* in, std::size_t n_rows,
     kernels::dense_forward(cur, n_rows, layer.in, layer.w.data(),
                            layer.b.data(), layer.out, out_buf.data());
     if (l + 1 < layers_.size()) {
-      // ReLU, elementwise — same std::max as the per-row forward().
+      // ReLU, elementwise — the same std::max as training's forward.
       const std::size_t total = n_rows * layer.out;
       for (std::size_t k = 0; k < total; ++k) {
         out_buf[k] = std::max(0.0, out_buf[k]);
@@ -177,8 +143,6 @@ void Mlp::fit_impl(const data::Matrix& z, std::span<const double> y) {
 
   util::Rng rng(params_.seed);
   layers_.clear();
-  act_offsets_.assign(1, 0);
-  act_total_ = widths[0];
   for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
     Layer layer;
     layer.in = widths[l];
@@ -189,8 +153,6 @@ void Mlp::fit_impl(const data::Matrix& z, std::span<const double> y) {
     const double scale = std::sqrt(2.0 / static_cast<double>(layer.in));
     for (auto& w : layer.w) w = rng.normal(0.0, scale);
     layers_.push_back(std::move(layer));
-    act_offsets_.push_back(act_total_);
-    act_total_ += widths[l + 1];
   }
 
   // Fresh optimizer state; run_epochs advances it and fit_continue
@@ -222,16 +184,27 @@ void Mlp::run_epochs(const data::Matrix& z, std::span<const double> y,
 
   MlpTrainState& st = *train_state_;
   std::vector<MlpTrainState::Adam>& adam = st.adam;
-  constexpr double kBeta1 = 0.9;
-  constexpr double kBeta2 = 0.999;
-  constexpr double kEps = 1e-8;
 
-  std::vector<double> acts(act_total_);
-  std::vector<double> deltas(act_total_);
-  std::vector<char> masks(act_total_, 1);
-  std::vector<std::vector<double>> gw(layers_.size());
-  std::vector<std::vector<double>> gb(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
+  // Per-batch blocks, row-major (batch row x width): acts[0] holds the
+  // gathered input rows and acts[l + 1] layer l's output; deltas[l]
+  // pairs with acts[l] (the input layer's are never needed). masks[l]
+  // holds hidden layer l's dropout draws.
+  const std::size_t n_layers = layers_.size();
+  const std::size_t in_dim = layers_.front().in;
+  const std::size_t out_dim = layers_.back().out;
+  const std::size_t max_rows = std::min(params_.batch_size, z.rows());
+  const bool use_dropout = params_.dropout > 0.0;
+  const double keep = 1.0 - params_.dropout;
+  std::vector<std::vector<double>> acts(n_layers + 1);
+  std::vector<std::vector<double>> deltas(n_layers + 1);
+  std::vector<std::vector<char>> masks(n_layers);
+  std::vector<std::vector<double>> gw(n_layers);
+  std::vector<std::vector<double>> gb(n_layers);
+  acts[0].resize(max_rows * in_dim);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    acts[l + 1].resize(max_rows * layers_[l].out);
+    deltas[l + 1].resize(max_rows * layers_[l].out);
+    if (use_dropout) masks[l].resize(max_rows * layers_[l].out);
     gw[l].assign(layers_[l].w.size(), 0.0);
     gb[l].assign(layers_[l].b.size(), 0.0);
   }
@@ -249,106 +222,129 @@ void Mlp::run_epochs(const data::Matrix& z, std::span<const double> y,
          start += params_.batch_size) {
       const std::size_t end =
           std::min(order.size(), start + params_.batch_size);
-      const auto batch_n = static_cast<double>(end - start);
+      const std::size_t n = end - start;
       for (auto& g : gw) std::fill(g.begin(), g.end(), 0.0);
       for (auto& g : gb) std::fill(g.begin(), g.end(), 0.0);
 
-      for (std::size_t bi = start; bi < end; ++bi) {
-        const std::size_t r = order[bi];
-        forward(z.row(r), &acts,
-                params_.dropout > 0.0 ? &st.dropout_rng : nullptr, &masks);
-
-        // Output deltas (dLoss/dPreactivation of the output layer).
-        const std::size_t out_off = act_offsets_.back();
-        std::fill(deltas.begin(), deltas.end(), 0.0);
-        if (params_.nll_head) {
-          const double mu = acts[out_off];
-          const double log_var =
-              std::clamp(acts[out_off + 1], kLogVarMin, kLogVarMax);
-          const double var = std::exp(log_var);
-          const double diff = mu - ty[r];
-          deltas[out_off] = diff / var;
-          deltas[out_off + 1] = 0.5 - 0.5 * diff * diff / var;
-        } else {
-          deltas[out_off] = acts[out_off] - ty[r];
+      // Gather the batch rows, in visit order, into one dense block.
+      for (std::size_t b = 0; b < n; ++b) {
+        const auto row = z.row(order[start + b]);
+        std::copy(row.begin(), row.end(), acts[0].begin() + b * in_dim);
+      }
+      // Mask values do not depend on activations, so the whole batch's
+      // draws come up front, in the (row, layer, unit) order a per-row
+      // pass consumes them.
+      if (use_dropout) {
+        // A local copy keeps the generator state in registers across the
+        // mask stores.
+        util::Rng rng = st.dropout_rng;
+        for (std::size_t b = 0; b < n; ++b) {
+          for (std::size_t l = 0; l + 1 < n_layers; ++l) {
+            char* m = masks[l].data() + b * layers_[l].out;
+            for (std::size_t o = 0; o < layers_[l].out; ++o) {
+              m[o] = rng.uniform() < keep ? 1 : 0;
+            }
+          }
         }
+        st.dropout_rng = rng;
+      }
 
-        // Backprop.
-        for (std::size_t li = layers_.size(); li > 0; --li) {
-          const std::size_t l = li - 1;
-          const Layer& layer = layers_[l];
-          const double* in = acts.data() + act_offsets_[l];
-          const double* dout = deltas.data() + act_offsets_[l + 1];
-          double* din = deltas.data() + act_offsets_[l];
-          for (std::size_t o = 0; o < layer.out; ++o) {
-            const double d = dout[o];
-            if (d == 0.0) continue;
-            double* gwp = gw[l].data() + o * layer.in;
-            const double* w = layer.w.data() + o * layer.in;
-            for (std::size_t i = 0; i < layer.in; ++i) {
-              gwp[i] += d * in[i];
-              din[i] += d * w[i];
-            }
-            gb[l][o] += d;
+      // Forward, layer by layer, through the GEMM microkernel; hidden
+      // layers get ReLU then inverted dropout.
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        const Layer& layer = layers_[l];
+        double* out = acts[l + 1].data();
+        kernels::dense_forward(acts[l].data(), n, layer.in, layer.w.data(),
+                               layer.b.data(), layer.out, out);
+        if (l + 1 == n_layers) break;
+        const std::size_t total = n * layer.out;
+        for (std::size_t k = 0; k < total; ++k) out[k] = std::max(0.0, out[k]);
+        if (use_dropout) {
+          const char* m = masks[l].data();
+          for (std::size_t k = 0; k < total; ++k) {
+            out[k] = m[k] != 0 ? out[k] / keep : 0.0;
           }
-          if (l > 0) {
-            // Through ReLU (and dropout mask) of the previous layer.
-            const char* m = masks.data() + act_offsets_[l];
-            const double keep = 1.0 - params_.dropout;
-            for (std::size_t i = 0; i < layer.in; ++i) {
-              if (in[i] <= 0.0) {
-                din[i] = 0.0;
-              } else if (params_.dropout > 0.0) {
-                din[i] = m[i] != 0 ? din[i] / keep : 0.0;
-              }
-            }
-          }
+        }
+      }
+
+      // Output deltas (dLoss/dPreactivation of the output layer).
+      for (std::size_t b = 0; b < n; ++b) {
+        const double* a = acts[n_layers].data() + b * out_dim;
+        double* d = deltas[n_layers].data() + b * out_dim;
+        const double target = ty[order[start + b]];
+        if (params_.nll_head) {
+          const double log_var = std::clamp(a[1], kLogVarMin, kLogVarMax);
+          const double var = std::exp(log_var);
+          const double diff = a[0] - target;
+          d[0] = diff / var;
+          d[1] = 0.5 - 0.5 * diff * diff / var;
+        } else {
+          d[0] = a[0] - target;
+        }
+      }
+
+      // Backprop.
+      for (std::size_t li = n_layers; li > 0; --li) {
+        const std::size_t l = li - 1;
+        const Layer& layer = layers_[l];
+        double* din = l > 0 ? deltas[l].data() : nullptr;
+        kernels::dense_backward(acts[l].data(), deltas[l + 1].data(), n,
+                                layer.in, layer.w.data(), layer.out,
+                                gw[l].data(), gb[l].data(), din);
+        if (din == nullptr) continue;
+        // Through the previous layer's ReLU and dropout. A dropped unit's
+        // activation is exactly 0, so the ReLU test applies its mask too;
+        // without dropout the scale is 1.0, an exact division.
+        const double* in = acts[l].data();
+        const double scale = use_dropout ? keep : 1.0;
+        for (std::size_t k = 0; k < n * layer.in; ++k) {
+          din[k] = in[k] <= 0.0 ? 0.0 : din[k] / scale;
         }
       }
 
       // Adam update with decoupled weight decay.
       ++st.step;
-      const double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(st.step));
-      const double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(st.step));
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
+      kernels::AdamStep step;
+      step.learning_rate = params_.learning_rate;
+      step.weight_decay = params_.weight_decay;
+      step.batch_n = static_cast<double>(n);
+      step.bc1 =
+          1.0 - std::pow(kernels::kAdamBeta1, static_cast<double>(st.step));
+      step.bc2 =
+          1.0 - std::pow(kernels::kAdamBeta2, static_cast<double>(st.step));
+      for (std::size_t l = 0; l < n_layers; ++l) {
         Layer& layer = layers_[l];
-        for (std::size_t i = 0; i < layer.w.size(); ++i) {
-          const double g = gw[l][i] / batch_n;
-          adam[l].mw[i] = kBeta1 * adam[l].mw[i] + (1.0 - kBeta1) * g;
-          adam[l].vw[i] = kBeta2 * adam[l].vw[i] + (1.0 - kBeta2) * g * g;
-          const double mhat = adam[l].mw[i] / bc1;
-          const double vhat = adam[l].vw[i] / bc2;
-          layer.w[i] -= params_.learning_rate *
-                        (mhat / (std::sqrt(vhat) + kEps) +
-                         params_.weight_decay * layer.w[i]);
-        }
-        for (std::size_t i = 0; i < layer.b.size(); ++i) {
-          const double g = gb[l][i] / batch_n;
-          adam[l].mb[i] = kBeta1 * adam[l].mb[i] + (1.0 - kBeta1) * g;
-          adam[l].vb[i] = kBeta2 * adam[l].vb[i] + (1.0 - kBeta2) * g * g;
-          const double mhat = adam[l].mb[i] / bc1;
-          const double vhat = adam[l].vb[i] / bc2;
-          layer.b[i] -= params_.learning_rate * mhat / (std::sqrt(vhat) + kEps);
-        }
+        kernels::adam_update(step, /*decay=*/true, layer.w.size(),
+                             gw[l].data(), adam[l].mw.data(),
+                             adam[l].vw.data(), layer.w.data());
+        kernels::adam_update(step, /*decay=*/false, layer.b.size(),
+                             gb[l].data(), adam[l].mb.data(),
+                             adam[l].vb.data(), layer.b.data());
       }
     }
 
     if (obs::enabled()) {
-      // Mean training loss on the post-epoch weights. Runs only under
-      // observation and consumes no RNG (no dropout), so it cannot
-      // perturb the fitted model.
-      std::vector<double> eval_acts(act_total_);
-      const std::size_t out_off = act_offsets_.back();
+      // Mean training loss on the post-epoch weights, through the
+      // inference forward in row blocks. Runs only under observation and
+      // consumes no RNG (no dropout), so it cannot perturb the fitted
+      // model.
+      constexpr std::size_t kEvalRows = 256;
+      std::vector<double> buf_a;
+      std::vector<double> buf_b;
       double loss = 0.0;
-      for (std::size_t r = 0; r < z.rows(); ++r) {
-        forward(z.row(r), &eval_acts, nullptr, nullptr);
-        const double diff = eval_acts[out_off] - ty[r];
-        if (params_.nll_head) {
-          const double log_var =
-              std::clamp(eval_acts[out_off + 1], kLogVarMin, kLogVarMax);
-          loss += 0.5 * (log_var + diff * diff / std::exp(log_var));
-        } else {
-          loss += 0.5 * diff * diff;
+      for (std::size_t lo = 0; lo < z.rows(); lo += kEvalRows) {
+        const std::size_t hi = std::min(z.rows(), lo + kEvalRows);
+        const double* res =
+            forward_batch(z.row(lo).data(), hi - lo, buf_a, buf_b);
+        for (std::size_t r = lo; r < hi; ++r) {
+          const double* a = res + (r - lo) * out_dim;
+          const double diff = a[0] - ty[r];
+          if (params_.nll_head) {
+            const double log_var = std::clamp(a[1], kLogVarMin, kLogVarMax);
+            loss += 0.5 * (log_var + diff * diff / std::exp(log_var));
+          } else {
+            loss += 0.5 * diff * diff;
+          }
         }
       }
       obs::span_arg("epoch", static_cast<double>(epoch));
@@ -542,8 +538,6 @@ Mlp Mlp::load(std::istream& in) {
   std::size_t n_layers = 0;
   in >> n_layers;
   model.layers_.resize(n_layers);
-  model.act_offsets_.assign(1, 0);
-  model.act_total_ = n_features;
   for (auto& layer : model.layers_) {
     expect_token(in, "layer");
     in >> layer.in >> layer.out;
@@ -551,8 +545,6 @@ Mlp Mlp::load(std::istream& in) {
     layer.b.resize(layer.out);
     for (auto& w : layer.w) in >> w;
     for (auto& b : layer.b) in >> b;
-    model.act_offsets_.push_back(model.act_total_);
-    model.act_total_ += layer.out;
   }
   if (!in) throw std::runtime_error("Mlp::load: truncated");
   if (model.layers_.empty() || model.layers_.front().in != n_features) {

@@ -126,13 +126,10 @@ class Mlp final : public Regressor {
     std::vector<double> b;  // out
   };
 
-  void forward(std::span<const double> input, std::vector<double>* acts,
-               util::Rng* dropout_rng, std::vector<char>* masks) const;
-
   /// Inference-only forward over a dense row-major block (n_rows x
   /// input width, contiguous) through the dispatched GEMM microkernel
-  /// (kernels::dense_forward) — bit-identical per row to forward()
-  /// without dropout. Returns a pointer to the final layer's
+  /// (kernels::dense_forward) — bit-identical per row to training's
+  /// forward without dropout. Returns a pointer to the final layer's
   /// activations (n_rows x out_dim) inside one of the two ping-pong
   /// scratch buffers.
   const double* forward_batch(const double* in, std::size_t n_rows,
@@ -144,7 +141,10 @@ class Mlp final : public Regressor {
 
   /// Run `n_epochs` epochs of the Adam/SGD loop against the retained
   /// train_state_ (which must exist). Shared by fit_impl (from a fresh
-  /// state) and fit_continue (resuming).
+  /// state) and fit_continue (resuming). Each mini-batch runs layer by
+  /// layer through kernels::dense_forward / dense_backward, whose order
+  /// of additions matches a per-row pass, so checkpoints are
+  /// bit-identical to row-at-a-time training.
   void run_epochs(const data::Matrix& z, std::span<const double> y,
                   std::size_t n_epochs);
 
@@ -156,10 +156,6 @@ class Mlp final : public Regressor {
   bool fitted_ = false;
   // Retained optimizer state for fit_continue; null on loaded models.
   std::unique_ptr<MlpTrainState> train_state_;
-
-  // Activation buffer offsets per layer (input + each layer output).
-  std::vector<std::size_t> act_offsets_;
-  std::size_t act_total_ = 0;
 };
 
 }  // namespace iotax::ml

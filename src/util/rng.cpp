@@ -6,27 +6,9 @@
 
 namespace iotax::util {
 
-namespace {
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : state_) s = sm.next();
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 Rng Rng::fork(std::uint64_t stream) const {
@@ -34,16 +16,13 @@ Rng Rng::fork(std::uint64_t stream) const {
   return Rng(sm.next());
 }
 
-double Rng::uniform() {
-  // 53 random mantissa bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned subtraction: hi - lo overflows int64 for the widest ranges.
+  const std::uint64_t range =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (range == 0) return static_cast<std::int64_t>(next());  // full range
   // Lemire-style rejection to avoid modulo bias.
   std::uint64_t x = next();
@@ -57,7 +36,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       l = static_cast<std::uint64_t>(m);
     }
   }
-  return lo + static_cast<std::int64_t>(m >> 64);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   static_cast<std::uint64_t>(m >> 64));
 }
 
 double Rng::normal() {

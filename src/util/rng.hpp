@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -45,13 +46,25 @@ class Rng {
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next(); }
 
-  std::uint64_t next();
+  // next() and uniform() are inline: training loops draw one per
+  // dropout unit, and a call per draw costs more than the draw.
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Fork an independent stream; `stream` values give distinct streams.
   Rng fork(std::uint64_t stream) const;
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.

@@ -13,10 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -383,13 +385,19 @@ class FleetTest : public ::testing::Test {
     p.max_depth = 4;
     model_ = new ml::GradientBoostedTrees(p);
     model_->fit(train_->x, train_->y);
-    model_path_ = ::testing::TempDir() + "fleet_test_model.gbt";
+    // gtest_discover_tests runs every test in its own process, so under
+    // ctest -j sibling processes set up this suite concurrently; a
+    // per-process path keeps one from reading another's half-written
+    // checkpoint.
+    model_path_ = ::testing::TempDir() + "fleet_test_model_" +
+                  std::to_string(::getpid()) + ".gbt";
     std::ofstream out(model_path_);
     ASSERT_TRUE(out.is_open());
     model_->save(out);
   }
 
   static void TearDownTestSuite() {
+    std::remove(model_path_.c_str());
     delete train_;
     delete probe_;
     delete model_;

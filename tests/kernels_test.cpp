@@ -12,6 +12,7 @@
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -270,12 +271,13 @@ std::vector<NodeDesc> random_tree(std::mt19937& rng, std::size_t n_features,
     // Thresholds consistent with a 1-unit-per-bin encoding so value and
     // code traversal route identically.
     n.threshold = static_cast<double>(n.split_bin);
-    n.left = static_cast<int>(nodes.size());
-    n.right = n.left + 1;
+    const int left = static_cast<int>(nodes.size());
+    n.left = left;
+    n.right = left + 1;
+    nodes.push_back({});  // may reallocate: `n` is dangling from here
     nodes.push_back({});
-    nodes.push_back({});
-    stack.push_back({n.left, d - 1});
-    stack.push_back({n.right, d - 1});
+    stack.push_back({left, d - 1});
+    stack.push_back({left + 1, d - 1});
   }
   return nodes;
 }
@@ -436,6 +438,153 @@ TEST(KernelsGemm, FastMathWithinTolerance) {
   kn::refresh();
   for (std::size_t k = 0; k < ref.size(); ++k) {
     EXPECT_NEAR(fast[k], ref[k], 1e-9 * std::abs(ref[k]) + 1e-12);
+  }
+}
+
+// ---------------------------------------------------------------------
+// dense_backward: both tiers against a per-row reference, bit for bit.
+
+// The per-row backward pass the kernel must reproduce: rows ascending,
+// outputs ascending, zero deltas skipped, din rebuilt from +0.0.
+void backward_per_row(const std::vector<double>& in,
+                      const std::vector<double>& dout, std::size_t n_rows,
+                      std::size_t in_dim, const std::vector<double>& w,
+                      std::size_t out_dim, std::vector<double>* gw,
+                      std::vector<double>* gb, std::vector<double>* din) {
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    std::fill(din->begin() + r * in_dim, din->begin() + (r + 1) * in_dim,
+              0.0);
+    for (std::size_t o = 0; o < out_dim; ++o) {
+      const double d = dout[r * out_dim + o];
+      if (d == 0.0) continue;
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        (*gw)[o * in_dim + i] += d * in[r * in_dim + i];
+        (*din)[r * in_dim + i] += d * w[o * in_dim + i];
+      }
+      (*gb)[o] += d;
+    }
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(KernelsGemm, BackwardBothTiersMatchPerRowReference) {
+  std::mt19937 rng(61);
+  std::normal_distribution<double> d(0.0, 1.0);
+  std::uniform_int_distribution<int> pick(0, 9);
+  // Deltas are ~20% +0.0 and ~10% -0.0 (ReLU-dead and dropped units);
+  // the accumulators start non-zero, some at -0.0.
+  auto delta = [&] {
+    const int k = pick(rng);
+    return k < 2 ? 0.0 : k < 3 ? -0.0 : d(rng);
+  };
+  auto accum = [&] { return pick(rng) == 0 ? -0.0 : d(rng); };
+  for (const std::size_t n_rows : {1UL, 3UL, 4UL, 5UL, 7UL, 17UL, 67UL}) {
+    for (const std::size_t in_dim : {1UL, 3UL, 5UL, 13UL, 16UL, 33UL}) {
+      for (const std::size_t out_dim : {1UL, 2UL, 3UL, 9UL}) {
+        std::vector<double> in(n_rows * in_dim);
+        std::vector<double> w(out_dim * in_dim);
+        std::vector<double> dout(n_rows * out_dim);
+        std::vector<double> gw0(out_dim * in_dim);
+        std::vector<double> gb0(out_dim);
+        for (auto& v : in) v = d(rng);
+        for (auto& v : w) v = d(rng);
+        for (auto& v : dout) v = delta();
+        for (auto& v : gw0) v = accum();
+        for (auto& v : gb0) v = accum();
+        // din is overwritten, so its prior contents must not matter.
+        const std::vector<double> din0(n_rows * in_dim, 7.0);
+
+        std::vector<double> ref_gw = gw0, ref_gb = gb0, ref_din = din0;
+        backward_per_row(in, dout, n_rows, in_dim, w, out_dim, &ref_gw,
+                         &ref_gb, &ref_din);
+        for (const char* policy : {"scalar", "avx2"}) {
+          ScopedKernels tier(policy);
+          std::vector<double> gw = gw0, gb = gb0, din = din0;
+          kn::dense_backward(in.data(), dout.data(), n_rows, in_dim,
+                             w.data(), out_dim, gw.data(), gb.data(),
+                             din.data());
+          const std::string shape = std::string(policy) + " " +
+                                    std::to_string(n_rows) + "x" +
+                                    std::to_string(in_dim) + "->" +
+                                    std::to_string(out_dim);
+          EXPECT_TRUE(same_bits(gw, ref_gw)) << shape;
+          EXPECT_TRUE(same_bits(gb, ref_gb)) << shape;
+          EXPECT_TRUE(same_bits(din, ref_din)) << shape;
+          // Without din the gradients are unchanged.
+          std::vector<double> gw2 = gw0, gb2 = gb0;
+          kn::dense_backward(in.data(), dout.data(), n_rows, in_dim,
+                             w.data(), out_dim, gw2.data(), gb2.data(),
+                             nullptr);
+          EXPECT_TRUE(same_bits(gw2, ref_gw)) << shape << " din=null";
+          EXPECT_TRUE(same_bits(gb2, ref_gb)) << shape << " din=null";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsGemm, BackwardSkipsSignedZeroDeltas) {
+  // One row, one output whose delta is +0.0 or -0.0, accumulators at
+  // -0.0: adding the zero terms would turn -0.0 into +0.0; skipping
+  // them keeps every sign bit.
+  const std::size_t in_dim = 21;
+  const std::vector<double> in(in_dim, 1.5);
+  const std::vector<double> w(in_dim, -2.0);
+  for (const double zero : {0.0, -0.0}) {
+    for (const char* policy : {"scalar", "avx2"}) {
+      ScopedKernels tier(policy);
+      std::vector<double> gw(in_dim, -0.0);
+      std::vector<double> gb(1, -0.0);
+      std::vector<double> din(in_dim, 3.0);
+      kn::dense_backward(in.data(), &zero, 1, in_dim, w.data(), 1, gw.data(),
+                         gb.data(), din.data());
+      for (std::size_t i = 0; i < in_dim; ++i) {
+        EXPECT_TRUE(gw[i] == 0.0 && std::signbit(gw[i])) << policy;
+        EXPECT_TRUE(din[i] == 0.0 && !std::signbit(din[i])) << policy;
+      }
+      EXPECT_TRUE(std::signbit(gb[0])) << policy;
+    }
+  }
+}
+
+TEST(KernelsGemm, AdamUpdateScalarVsAvx2) {
+  std::mt19937 rng(67);
+  std::normal_distribution<double> d(0.0, 1.0);
+  for (const std::size_t n : {1UL, 3UL, 4UL, 7UL, 64UL, 99UL}) {
+    for (const bool decay : {false, true}) {
+      std::vector<double> g(n), m0(n), v0(n), p0(n);
+      for (auto& x : g) x = d(rng) * 5.0;
+      for (auto& x : m0) x = d(rng) * 0.1;
+      for (auto& x : v0) x = std::abs(d(rng)) * 0.01;
+      for (auto& x : p0) x = d(rng);
+      g[0] = 0.0;  // a zero gradient still decays the moments
+      kn::AdamStep step;
+      step.bc1 = 1.0 - std::pow(0.9, 7.0);
+      step.bc2 = 1.0 - std::pow(0.999, 7.0);
+      step.learning_rate = 3e-3;
+      step.weight_decay = 1e-5;
+      step.batch_n = 13.0;
+      std::vector<double> ms = m0, vs = v0, ps = p0;
+      std::vector<double> mv = m0, vv = v0, pv = p0;
+      {
+        ScopedKernels tier("scalar");
+        kn::adam_update(step, decay, n, g.data(), ms.data(), vs.data(),
+                        ps.data());
+      }
+      {
+        ScopedKernels tier("avx2");
+        kn::adam_update(step, decay, n, g.data(), mv.data(), vv.data(),
+                        pv.data());
+      }
+      EXPECT_TRUE(same_bits(ms, mv)) << n << " decay=" << decay;
+      EXPECT_TRUE(same_bits(vs, vv)) << n << " decay=" << decay;
+      EXPECT_TRUE(same_bits(ps, pv)) << n << " decay=" << decay;
+      EXPECT_FALSE(same_bits(ps, p0)) << n << " decay=" << decay;
+    }
   }
 }
 

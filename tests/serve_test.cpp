@@ -8,12 +8,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/data/matrix.hpp"
 #include "src/ml/gbt.hpp"
@@ -288,13 +292,19 @@ class ServeTest : public ::testing::Test {
     p.max_depth = 4;
     model_ = new ml::GradientBoostedTrees(p);
     model_->fit(train_->x, train_->y);
-    model_path_ = ::testing::TempDir() + "serve_test_model.gbt";
+    // gtest_discover_tests runs every test in its own process, so under
+    // ctest -j sibling processes set up this suite concurrently; a
+    // per-process path keeps one from reading another's half-written
+    // checkpoint.
+    model_path_ = ::testing::TempDir() + "serve_test_model_" +
+                  std::to_string(::getpid()) + ".gbt";
     std::ofstream out(model_path_);
     ASSERT_TRUE(out.is_open());
     model_->save(out);
   }
 
   static void TearDownTestSuite() {
+    std::remove(model_path_.c_str());
     delete train_;
     delete probe_;
     delete model_;

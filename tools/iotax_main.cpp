@@ -1025,6 +1025,16 @@ std::atomic<int> g_serve_signal{0};
 
 void serve_signal_handler(int sig) { g_serve_signal.store(sig); }
 
+// Routes SIGTERM/SIGINT to g_serve_signal. Installed before the daemon
+// starts, so before its ready file exists: a signal sent the moment the
+// ready file appears drains instead of killing the process.
+void install_drain_handlers() {
+  struct sigaction sa{};
+  sa.sa_handler = serve_signal_handler;
+  ::sigaction(SIGTERM, &sa, nullptr);
+  ::sigaction(SIGINT, &sa, nullptr);
+}
+
 int cmd_serve(const cli::Args& args) {
   args.check_allowed(with_obs({"models", "socket", "port", "batch-size",
                                "batch-wait-us", "max-inflight",
@@ -1049,6 +1059,7 @@ int cmd_serve(const cli::Args& args) {
   cfg.shadow_slot =
       static_cast<std::size_t>(args.get_int_or("shadow-slot", 0));
 
+  install_drain_handlers();
   serve::Server server(cfg);
   server.start();
   for (std::size_t i = 0; i < server.registry().size(); ++i) {
@@ -1089,10 +1100,6 @@ int cmd_serve(const cli::Args& args) {
     ready << "port " << server.tcp_port() << '\n';
   }
 
-  struct sigaction sa{};
-  sa.sa_handler = serve_signal_handler;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
   while (g_serve_signal.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -1205,6 +1212,7 @@ int cmd_fleet(const cli::Args& args) {
         util::Json::parse(args.get("chaos-json")));
   }
 
+  install_drain_handlers();
   serve::Supervisor supervisor(sup);
   supervisor.start();
   rc.supervisor = &supervisor;
@@ -1240,10 +1248,6 @@ int cmd_fleet(const cli::Args& args) {
     ready << "port " << router.tcp_port() << '\n';
   }
 
-  struct sigaction sa{};
-  sa.sa_handler = serve_signal_handler;
-  ::sigaction(SIGTERM, &sa, nullptr);
-  ::sigaction(SIGINT, &sa, nullptr);
   while (g_serve_signal.load() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

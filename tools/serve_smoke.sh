@@ -2,7 +2,8 @@
 # End-to-end serve smoke: simulate -> train -> offline predict, then
 # stand the daemon up and push >= 1000 requests through `iotax query`
 # at IOTAX_THREADS=1 and 4, demanding byte-identical CSVs and a clean
-# SIGTERM drain with final metrics export.
+# SIGTERM drain with final metrics export; then SIGTERM a daemon the
+# instant its ready file appears and demand the same clean drain.
 #
 #   serve_smoke.sh <path-to-iotax> <work-dir>
 set -euo pipefail
@@ -79,5 +80,30 @@ run_daemon_pass() {
 
 run_daemon_pass 1
 run_daemon_pass 4
+
+# SIGTERM the moment the ready file appears: the drain handlers are in
+# place before the ready file is written, so the daemon must drain and
+# exit 0 rather than die of the default SIGTERM action.
+echo "== SIGTERM at ready =="
+for i in 1 2 3 4 5; do
+  rm -f ready.txt
+  "$IOTAX" serve --models model.gbt --socket "$WORK/serve_term.sock" \
+    --ready-file ready.txt > "serve_term_$i.log" 2>&1 &
+  DAEMON_PID=$!
+  # Poll without sleeping so the signal lands right after ready, for at
+  # most 10 s like the daemon passes above.
+  deadline=$((SECONDS + 10))
+  until [[ -e ready.txt ]] || ((SECONDS >= deadline)); do :; done
+  [[ -e ready.txt ]] || { echo "FAIL: daemon never became ready"; exit 1; }
+  kill -TERM "$DAEMON_PID"
+  rc=0
+  wait "$DAEMON_PID" || rc=$?
+  DAEMON_PID=""
+  [[ $rc -eq 0 ]] \
+    || { echo "FAIL: daemon exit $rc on SIGTERM at ready (try $i)"; exit 1; }
+  grep -q "drained;" "serve_term_$i.log" \
+    || { echo "FAIL: no drain summary on SIGTERM at ready (try $i)"; exit 1; }
+done
+echo "ok: SIGTERM at ready drains and exits 0 (5 tries)"
 
 echo "serve_smoke: PASS"
