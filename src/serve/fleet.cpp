@@ -173,7 +173,12 @@ void Supervisor::spawn(Shard& shard) {
     // Child: async-signal-safe calls only until exec. Shards die with
     // the supervisor (PDEATHSIG) so a crashed parent cannot leak a
     // daemon pack; stdout/err go to the per-shard log for post-mortems.
+    // The shard starts with no signals blocked, whatever mask the
+    // forking thread had (exec keeps it).
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    sigset_t none;
+    sigemptyset(&none);
+    ::sigprocmask(SIG_SETMASK, &none, nullptr);
     const int log_fd = ::open(shard.log_file.c_str(),
                               O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (log_fd >= 0) {

@@ -40,6 +40,7 @@
 
 #include "src/faults/chaos.hpp"
 #include "src/serve/retrying_client.hpp"
+#include "src/serve/server.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/quarantine.hpp"
 
@@ -64,10 +65,10 @@ struct SupervisorConfig {
   /// Non-empty switches shards to TCP on 127.0.0.1; must hold exactly
   /// n_groups * n_replicas distinct ports (row-major by group).
   std::vector<int> shard_ports;
-  /// Passed through to each shard's ServeConfig.
-  std::size_t batch_size = 32;
-  std::uint64_t batch_wait_us = 200;
-  std::size_t max_inflight = 256;
+  /// Passed through to each shard's ServeConfig; defaults are its own.
+  std::size_t batch_size = ServeConfig{}.batch_size;
+  std::uint64_t batch_wait_us = ServeConfig{}.batch_wait_us;
+  std::size_t max_inflight = ServeConfig{}.max_inflight;
   /// Health loop: every interval, each live shard gets a ping that must
   /// answer within the timeout; silence means hung -> SIGKILL + restart.
   std::uint64_t health_interval_ms = 100;

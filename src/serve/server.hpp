@@ -8,13 +8,16 @@
 //
 // One reader thread per connection decodes frames and admits requests
 // into a BoundedQueue (capacity = --max-inflight). A single batcher
-// thread gathers up to --batch-size requests within a --batch-wait-us
-// window, assembles each model's rows into one Matrix, and runs the
-// ordinary batch-predict kernels — the same thread-pool code offline
-// `iotax predict` uses — so served answers are bit-identical to offline
-// predictions at any IOTAX_THREADS. Responses are written back on the
-// requester's socket under a per-session write lock (responses carry
-// the request id, so cross-request ordering is unconstrained).
+// thread blocks for the first request, takes everything already queued
+// up to --batch-size (batches grow under load, because requests queue
+// while the previous batch is scored; --batch-wait-us N opts into
+// waiting up to N µs for more), assembles each model's rows into one
+// Matrix, and runs the ordinary batch-predict kernels — the same
+// thread-pool code offline `iotax predict` uses — so served answers
+// are bit-identical to offline predictions at any IOTAX_THREADS.
+// Responses are written back on the requester's socket under a
+// per-session write lock (responses carry the request id, so
+// cross-request ordering is unconstrained).
 //
 // Failure model: malformed or truncated frames map to the shared
 // quarantine Reason vocabulary and produce a typed error reply; they
@@ -47,10 +50,15 @@ struct ServeConfig {
   /// TCP listener port on 127.0.0.1 (-1 disables, 0 picks an ephemeral
   /// port — read it back with Server::tcp_port()).
   int tcp_port = -1;
-  /// Micro-batching: a batch closes at `batch_size` requests or
-  /// `batch_wait_us` after its first request, whichever comes first.
+  /// Micro-batching: a batch holds at most `batch_size` requests. With
+  /// `batch_wait_us` 0 (work-conserving, the default) it closes as soon
+  /// as the batcher is free, holding whatever was queued; a positive
+  /// window keeps it open that long after its first request unless it
+  /// fills first. These defaults (and `max_inflight`) are the only
+  /// copies: the fleet's SupervisorConfig and the CLI read them from
+  /// ServeConfig{}.
   std::size_t batch_size = 32;
-  std::uint64_t batch_wait_us = 200;
+  std::uint64_t batch_wait_us = 0;
   /// Admission control: requests beyond this many in flight get a typed
   /// BUSY reply instead of queueing (also the queue capacity).
   std::size_t max_inflight = 256;

@@ -1,9 +1,10 @@
 // Bounded multi-producer / multi-consumer queue with explicit
 // backpressure, built for the serve request path: session readers
 // try_push() and treat a full queue as "shed this request", the batcher
-// pop_batch()es up to a batch size within a bounded gather window, and
-// close() starts a graceful drain — producers are refused, consumers
-// keep popping until the queue is empty and only then see "done".
+// pop_batch()es up to a batch size (taking what is queued, or waiting
+// out an optional gather window), and close() starts a graceful drain —
+// producers are refused, consumers keep popping until the queue is
+// empty and only then see "done".
 //
 // All synchronisation is a mutex + two condition variables; no lock-free
 // cleverness, so the type is trivially ThreadSanitizer-clean and the
@@ -42,16 +43,18 @@ class BoundedQueue {
   }
 
   /// Pop up to `max_n` items as one batch. Blocks until at least one
-  /// item is available (or the queue is closed); once the first item of
-  /// the batch is in hand, waits at most `gather_wait` for more before
-  /// returning what accumulated. Returns an empty vector only when the
-  /// queue is closed *and* drained — the consumer's signal to exit.
+  /// item is available (or the queue is closed). A zero `gather_wait`
+  /// is work-conserving: the batch is whatever is queued at that moment,
+  /// and items pushed later go to the next batch. A positive one waits
+  /// at most that long after the first item for more before returning
+  /// what accumulated. Returns an empty vector only when the queue is
+  /// closed *and* drained — the consumer's signal to exit.
   std::vector<T> pop_batch(std::size_t max_n,
                            std::chrono::microseconds gather_wait) {
     std::unique_lock<std::mutex> lock(mu_);
     nonempty_cv_.wait(lock, [&] { return !q_.empty() || closed_; });
     if (q_.empty()) return {};  // closed and drained
-    if (q_.size() < max_n && !closed_) {
+    if (gather_wait.count() > 0 && q_.size() < max_n && !closed_) {
       const auto deadline = std::chrono::steady_clock::now() + gather_wait;
       nonempty_cv_.wait_until(lock, deadline, [&] {
         return q_.size() >= max_n || closed_;

@@ -166,6 +166,17 @@ TEST(FleetSlot, RoutesByBitPatternNotValue) {
   EXPECT_TRUE(diverged);
 }
 
+// -- shard configuration ----------------------------------------------------
+
+TEST(FleetConfig, ShardBatchingDefaultsAreServeConfigs) {
+  const serve::ServeConfig serve_cfg;
+  const serve::SupervisorConfig sup;
+  EXPECT_EQ(serve_cfg.batch_wait_us, 0u);  // work-conserving by default
+  EXPECT_EQ(sup.batch_size, serve_cfg.batch_size);
+  EXPECT_EQ(sup.batch_wait_us, serve_cfg.batch_wait_us);
+  EXPECT_EQ(sup.max_inflight, serve_cfg.max_inflight);
+}
+
 // -- chaos plans ------------------------------------------------------------
 
 TEST(FleetChaosPlan, ParsesAndReportsGroundTruth) {

@@ -232,6 +232,30 @@ TEST(BoundedQueue, BatchGatherRespectsMaxN) {
   EXPECT_EQ(rest, (std::vector<int>{3, 4}));
 }
 
+TEST(BoundedQueue, ZeroWindowTakesWhatIsQueuedAtOnce) {
+  util::BoundedQueue<int> q(8);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
+  // Fewer than max_n queued: a zero window returns them without waiting
+  // for the batch to fill.
+  const auto start = std::chrono::steady_clock::now();
+  const auto first = q.pop_batch(32, std::chrono::microseconds(0));
+  EXPECT_EQ(first, (std::vector<int>{0, 1, 2}));
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  // A consumer blocked on the empty queue wakes for one item and takes
+  // it alone; an item pushed after that batch closed opens the next.
+  std::vector<std::vector<int>> batches;
+  std::thread consumer([&q, &batches] {
+    batches.push_back(q.pop_batch(32, std::chrono::microseconds(0)));
+  });
+  ASSERT_TRUE(q.try_push(3));
+  consumer.join();
+  ASSERT_TRUE(q.try_push(4));
+  batches.push_back(q.pop_batch(32, std::chrono::microseconds(0)));
+  EXPECT_EQ(batches, (std::vector<std::vector<int>>{{3}, {4}}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
 TEST(BoundedQueue, ConcurrentProducersDrainCompletely) {
   util::BoundedQueue<int> q(16);
   constexpr int kPerProducer = 500;
@@ -580,32 +604,38 @@ TEST_F(ServeTest, AdmissionControlShedsWithTypedBusy) {
 }
 
 TEST_F(ServeTest, DrainAnswersEverythingAdmitted) {
-  auto cfg = base_config("drain");
-  cfg.batch_size = 8;
-  cfg.batch_wait_us = 5000;
-  serve::Server server(cfg);
-  server.start();
-  auto client = serve::Client::connect_unix(server.config().unix_socket);
-  constexpr std::uint64_t kRequests = 40;
-  for (std::uint64_t id = 1; id <= kRequests; ++id) {
-    client.send_predict(request_for_row(id % 64, id));
+  // Under both batching policies: the work-conserving default and a
+  // gather window that holds batches open.
+  for (const std::uint64_t window_us :
+       {serve::ServeConfig{}.batch_wait_us, std::uint64_t{5000}}) {
+    SCOPED_TRACE("batch_wait_us " + std::to_string(window_us));
+    auto cfg = base_config(window_us == 0 ? "drain_w0" : "drain_w5000");
+    cfg.batch_size = 8;
+    cfg.batch_wait_us = window_us;
+    serve::Server server(cfg);
+    server.start();
+    auto client = serve::Client::connect_unix(server.config().unix_socket);
+    constexpr std::uint64_t kRequests = 40;
+    for (std::uint64_t id = 1; id <= kRequests; ++id) {
+      client.send_predict(request_for_row(id % 64, id));
+    }
+    std::uint64_t answered = 0;
+    for (; answered < kRequests; ++answered) {
+      serve::Client::Reply reply;
+      ASSERT_TRUE(client.read_reply(&reply));
+      ASSERT_EQ(reply.type, FrameType::kPredictResponse);
+    }
+    server.stop();
+    const auto stats = server.stats();
+    // The drain invariant: every admitted request was answered.
+    EXPECT_EQ(stats.requests, kRequests);
+    EXPECT_EQ(stats.responses, kRequests);
+    EXPECT_EQ(stats.quarantined, 0u);
+    EXPECT_TRUE(server.quarantine().empty());
+    // stop() is idempotent.
+    server.stop();
+    EXPECT_FALSE(server.running());
   }
-  std::uint64_t answered = 0;
-  for (; answered < kRequests; ++answered) {
-    serve::Client::Reply reply;
-    ASSERT_TRUE(client.read_reply(&reply));
-    ASSERT_EQ(reply.type, FrameType::kPredictResponse);
-  }
-  server.stop();
-  const auto stats = server.stats();
-  // The drain invariant: every admitted request was answered.
-  EXPECT_EQ(stats.requests, kRequests);
-  EXPECT_EQ(stats.responses, kRequests);
-  EXPECT_EQ(stats.quarantined, 0u);
-  EXPECT_TRUE(server.quarantine().empty());
-  // stop() is idempotent.
-  server.stop();
-  EXPECT_FALSE(server.running());
 }
 
 TEST_F(ServeTest, RegistryServesMultipleModelsByIndex) {

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <unistd.h>
 
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "src/util/atomic_file.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/env.hpp"
 #include "src/util/str.hpp"
@@ -144,6 +154,104 @@ TEST(Env, EnvOrFallback) {
   setenv("IOTAX_NOT_SET", "v", 1);
   EXPECT_EQ(util::env_or("IOTAX_NOT_SET", "dflt"), "v");
   unsetenv("IOTAX_NOT_SET");
+}
+
+// -- atomic artifact writes -------------------------------------------------
+
+std::string atomic_test_path(const std::string& tag) {
+  return ::testing::TempDir() + "atomic_file_" + tag + "_" +
+         std::to_string(::getpid());
+}
+
+bool read_whole(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *out = buf.str();
+  return true;
+}
+
+/// Temp files write_file_atomic left beside `path`.
+std::size_t leftover_temps(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp.";
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           p.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(AtomicFile, ConcurrentReaderSeesNoFileOrCompleteBytes) {
+  const auto path = atomic_test_path("race");
+  std::remove(path.c_str());
+  // Two payloads of different length and content: a torn read shows up
+  // as a prefix, a mix, or a wrong length.
+  const std::string a(256 * 1024, 'a');
+  const std::string b(256 * 1024 + 4093, 'b');
+  constexpr int kWrites = 60;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kWrites; ++i) {
+      util::write_file_atomic(path, i % 2 == 0 ? a : b);
+    }
+    done.store(true);
+  });
+  std::size_t complete = 0;
+  std::string defect;
+  while (defect.empty() && (!done.load() || complete == 0)) {
+    std::string got;
+    if (!read_whole(path, &got)) {
+      // No file yet is fine; once one was there, it must stay.
+      if (complete > 0) defect = "the file vanished between writes";
+      continue;
+    }
+    if (got != a && got != b) {
+      defect = "read " + std::to_string(got.size()) +
+               " bytes that are neither payload";
+    }
+    ++complete;
+  }
+  writer.join();
+  EXPECT_EQ(defect, "");
+  std::string last;
+  ASSERT_TRUE(read_whole(path, &last));
+  EXPECT_EQ(last, kWrites % 2 == 0 ? b : a);
+  EXPECT_EQ(leftover_temps(path), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(AtomicFile, ReplacesWholeFileAndCleansUpOnFailure) {
+  const auto path = atomic_test_path("replace");
+  util::write_file_atomic(path, "a longer first version\n");
+  util::write_file_atomic(path, "v2\n");  // no stale tail survives
+  std::string got;
+  ASSERT_TRUE(read_whole(path, &got));
+  EXPECT_EQ(got, "v2\n");
+  util::write_file_atomic(path, "");
+  ASSERT_TRUE(read_whole(path, &got));
+  EXPECT_EQ(got, "");
+  EXPECT_EQ(leftover_temps(path), 0u);
+  std::remove(path.c_str());
+
+  // A directory that does not exist: the error names the path.
+  const auto missing = atomic_test_path("no_such_dir") + "/artifact";
+  try {
+    util::write_file_atomic(missing, "x");
+    FAIL() << "write into a missing directory succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
+  // Renaming onto a directory fails after the temp file was written;
+  // the temp file must not be left behind.
+  const auto dir = atomic_test_path("is_a_dir");
+  std::filesystem::create_directory(dir);
+  EXPECT_THROW(util::write_file_atomic(dir, "x"), std::runtime_error);
+  EXPECT_EQ(leftover_temps(dir), 0u);
+  std::filesystem::remove(dir);
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <set>
 #include <sstream>
 
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <map>
@@ -35,6 +34,7 @@
 #include "src/serve/client.hpp"
 #include "src/serve/fleet.hpp"
 #include "src/serve/server.hpp"
+#include "src/util/atomic_file.hpp"
 #include "src/util/str.hpp"
 #include "src/faults/chaos.hpp"
 #include "src/faults/injector.hpp"
@@ -145,9 +145,12 @@ commands:
              [--ready-file FILE] [--shadow FILE] [--shadow-slot N]
              long-lived inference daemon: loads the checkpoints into a
              generation-counted model registry and answers framed
-             predict requests with micro-batching; --shadow serves a
-             candidate checkpoint beside production with bit-exact
-             divergence accounting; drains gracefully on SIGTERM/SIGINT
+             predict requests with work-conserving micro-batching (a
+             batch is whatever is queued, up to --batch-size, once the
+             batcher is free; --batch-wait-us N opts into waiting up to
+             N us for more, default 0); --shadow serves a candidate
+             checkpoint beside production with bit-exact divergence
+             accounting; drains gracefully on SIGTERM/SIGINT
   fleet      --models A[,B,...] (--socket PATH | --port N)
              --shard-dir DIR [--groups N] [--replicas N]
              [--shard-ports P0,P1,...] [--batch-size N]
@@ -157,11 +160,12 @@ commands:
              [--chaos-plan FILE | --chaos-json STR] [--ready-file FILE]
              [--iotax-bin PATH] [--spawn-timeout-ms N] [--seed N]
              fault-tolerant serving fleet: supervises groups x replicas
-             shard daemons (each an `iotax serve` child), consistent-
-             hashes requests across groups, retries/fails over inside a
-             group, and restarts crashed or hung shards with exponential
-             backoff; a mid-load kill -9 of any shard is invisible to
-             clients and answers stay bit-identical to offline predict
+             shard daemons (each an `iotax serve` child, batching as
+             serve does), consistent-hashes requests across groups,
+             retries/fails over inside a group, and restarts crashed or
+             hung shards with exponential backoff; a mid-load kill -9 of
+             any shard is invisible to clients and answers stay
+             bit-identical to offline predict
   query      (--socket PATH | --host H --port N)
              [--ping | --dataset FILE | --store DIR]
              [--model IDX] [--dist] [--shadow] [--pipeline N] [--repeat N]
@@ -256,6 +260,14 @@ DatasetSource load_dataset(const cli::Args& args) {
     src.owned = data::read_dataset_csv(args.get("dataset"), "dataset");
   }
   return src;
+}
+
+/// Save a checkpoint a daemon may load at any moment: the file appears
+/// complete or not at all.
+void save_model_atomic(const ml::Regressor& model, const std::string& path) {
+  std::ostringstream out;
+  model.save(out);
+  util::write_file_atomic(path, out.str());
 }
 
 /// Every command also accepts the observability output options.
@@ -608,9 +620,7 @@ int cmd_train(const cli::Args& args) {
                 ml::log_error_to_percent(err));
   }
   if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("out"));
-    model->save(out);
+    save_model_atomic(*model, args.get("out"));
     std::printf("model saved to %s\n", args.get("out").c_str());
   }
   return 0;
@@ -764,9 +774,7 @@ int cmd_burst(const cli::Args& args) {
                                clf->predict(x_test));
 
   if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("out"));
-    model->save(out);
+    save_model_atomic(*model, args.get("out"));
     std::printf("model saved to %s\n", args.get("out").c_str());
   }
   if (args.has("out-data")) {
@@ -1021,18 +1029,52 @@ int cmd_audit(const cli::Args& args) {
   return rc;
 }
 
-std::atomic<int> g_serve_signal{0};
+sigset_t drain_signals() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGTERM);
+  sigaddset(&set, SIGINT);
+  return set;
+}
 
-void serve_signal_handler(int sig) { g_serve_signal.store(sig); }
+void ignore_drain_signal(int) {}
 
-// Routes SIGTERM/SIGINT to g_serve_signal. Installed before the daemon
-// starts, so before its ready file exists: a signal sent the moment the
-// ready file appears drains instead of killing the process.
+// SIGTERM/SIGINT start a drain, taken synchronously by
+// wait_for_drain_signal(). Called before the daemon starts any thread
+// (threads inherit the mask) and so before its ready file exists: the
+// signals stay pending from here on, and one sent the moment the ready
+// file appears is neither lost nor fatal. The handler never runs while
+// they are blocked; it makes /proc/<pid>/status list them as caught
+// (SigCgt), which callers may poll for before they stop the daemon.
 void install_drain_handlers() {
   struct sigaction sa{};
-  sa.sa_handler = serve_signal_handler;
+  sa.sa_handler = ignore_drain_signal;
   ::sigaction(SIGTERM, &sa, nullptr);
   ::sigaction(SIGINT, &sa, nullptr);
+  const sigset_t set = drain_signals();
+  ::pthread_sigmask(SIG_BLOCK, &set, nullptr);
+}
+
+/// Block until SIGTERM or SIGINT arrives; returns the signal number.
+int wait_for_drain_signal() {
+  const sigset_t set = drain_signals();
+  int sig = 0;
+  while (::sigwait(&set, &sig) != 0) {
+  }
+  return sig;
+}
+
+/// --batch-size / --batch-wait-us / --max-inflight into a ServeConfig
+/// or SupervisorConfig. An absent option keeps the config's value, which
+/// is ServeConfig's default.
+template <typename Config>
+void read_batching_options(const cli::Args& args, Config* cfg) {
+  cfg->batch_size = static_cast<std::size_t>(args.get_int_or(
+      "batch-size", static_cast<long long>(cfg->batch_size)));
+  cfg->batch_wait_us = static_cast<std::uint64_t>(args.get_int_or(
+      "batch-wait-us", static_cast<long long>(cfg->batch_wait_us)));
+  cfg->max_inflight = static_cast<std::size_t>(args.get_int_or(
+      "max-inflight", static_cast<long long>(cfg->max_inflight)));
 }
 
 int cmd_serve(const cli::Args& args) {
@@ -1049,12 +1091,7 @@ int cmd_serve(const cli::Args& args) {
   }
   cfg.unix_socket = args.get_or("socket", "");
   cfg.tcp_port = static_cast<int>(args.get_int_or("port", -1));
-  cfg.batch_size =
-      static_cast<std::size_t>(args.get_int_or("batch-size", 32));
-  cfg.batch_wait_us =
-      static_cast<std::uint64_t>(args.get_int_or("batch-wait-us", 200));
-  cfg.max_inflight =
-      static_cast<std::size_t>(args.get_int_or("max-inflight", 256));
+  read_batching_options(args, &cfg);
   cfg.shadow_file = args.get_or("shadow", "");
   cfg.shadow_slot =
       static_cast<std::size_t>(args.get_int_or("shadow-slot", 0));
@@ -1085,25 +1122,23 @@ int cmd_serve(const cli::Args& args) {
   if (cfg.tcp_port >= 0) {
     std::printf("serve: listening on 127.0.0.1:%d\n", server.tcp_port());
   }
-  std::printf("serve: batch-size %zu, batch-wait %llu us, max-inflight %zu\n",
-              cfg.batch_size,
-              static_cast<unsigned long long>(cfg.batch_wait_us),
-              cfg.max_inflight);
+  const std::string batching =
+      cfg.batch_wait_us == 0
+          ? std::string("work-conserving batching")
+          : "batch-wait " + std::to_string(cfg.batch_wait_us) + " us";
+  std::printf("serve: batch-size %zu, %s, max-inflight %zu\n",
+              cfg.batch_size, batching.c_str(), cfg.max_inflight);
   std::fflush(stdout);
   if (args.has("ready-file")) {
     // Written only once the listeners accept: scripts poll for this
-    // file instead of racing the daemon startup.
-    std::ofstream ready(args.get("ready-file"));
-    if (!ready) {
-      throw std::runtime_error("cannot open " + args.get("ready-file"));
-    }
-    ready << "port " << server.tcp_port() << '\n';
+    // file instead of racing the daemon startup, and see it complete.
+    util::write_file_atomic(args.get("ready-file"),
+                            "port " + std::to_string(server.tcp_port()) +
+                                '\n');
   }
 
-  while (g_serve_signal.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::printf("serve: signal %d, draining...\n", g_serve_signal.load());
+  const int sig = wait_for_drain_signal();
+  std::printf("serve: signal %d, draining...\n", sig);
   std::fflush(stdout);
   server.stop();
 
@@ -1181,12 +1216,7 @@ int cmd_fleet(const cli::Args& args) {
       sup.shard_ports.push_back(std::stoi(std::string(trimmed)));
     }
   }
-  sup.batch_size =
-      static_cast<std::size_t>(args.get_int_or("batch-size", 32));
-  sup.batch_wait_us =
-      static_cast<std::uint64_t>(args.get_int_or("batch-wait-us", 200));
-  sup.max_inflight =
-      static_cast<std::size_t>(args.get_int_or("max-inflight", 256));
+  read_batching_options(args, &sup);
   sup.health_interval_ms =
       static_cast<std::uint64_t>(args.get_int_or("health-interval-ms", 100));
   sup.health_timeout_ms =
@@ -1241,17 +1271,13 @@ int cmd_fleet(const cli::Args& args) {
   }
   std::fflush(stdout);
   if (args.has("ready-file")) {
-    std::ofstream ready(args.get("ready-file"));
-    if (!ready) {
-      throw std::runtime_error("cannot open " + args.get("ready-file"));
-    }
-    ready << "port " << router.tcp_port() << '\n';
+    util::write_file_atomic(args.get("ready-file"),
+                            "port " + std::to_string(router.tcp_port()) +
+                                '\n');
   }
 
-  while (g_serve_signal.load() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::printf("fleet: signal %d, draining...\n", g_serve_signal.load());
+  const int sig = wait_for_drain_signal();
+  std::printf("fleet: signal %d, draining...\n", sig);
   std::fflush(stdout);
   router.stop();
   supervisor.stop();
@@ -1609,11 +1635,7 @@ int cmd_monitor(const cli::Args& args) {
     std::printf("monitor: warm-started %zu extra %s(s) on %zu job(s)\n",
                 extra_rounds, info.round_unit, recent.size());
     if (args.has("candidate-out")) {
-      std::ofstream out(args.get("candidate-out"));
-      if (!out) {
-        throw std::runtime_error("cannot open " + args.get("candidate-out"));
-      }
-      model->save(out);
+      save_model_atomic(*model, args.get("candidate-out"));
       std::printf("monitor: candidate saved to %s\n",
                   args.get("candidate-out").c_str());
     }

@@ -81,9 +81,10 @@ run_daemon_pass() {
 run_daemon_pass 1
 run_daemon_pass 4
 
-# SIGTERM the moment the ready file appears: the drain handlers are in
-# place before the ready file is written, so the daemon must drain and
-# exit 0 rather than die of the default SIGTERM action.
+# SIGTERM the moment the ready file appears: SIGTERM/SIGINT are blocked
+# and left pending for the drain before the ready file is written, so
+# the daemon must drain and exit 0 rather than die of the default
+# SIGTERM action or miss the signal.
 echo "== SIGTERM at ready =="
 for i in 1 2 3 4 5; do
   rm -f ready.txt
