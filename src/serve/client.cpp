@@ -1,10 +1,8 @@
 #include "src/serve/client.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,65 +12,41 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/util/backoff.hpp"
-
 namespace iotax::serve {
 
 using util::FrameDecode;
-using util::FrameHeader;
 using util::FrameType;
 
 namespace {
 
-// Finish a connect() under a deadline: the socket goes nonblocking for
-// the handshake, poll() waits out the timeout, SO_ERROR reports the
-// verdict, and the socket is flipped back to blocking before use.
-// Returns 0 on success, a positive errno on connect failure, -1 on
-// timeout.
-int connect_with_timeout(int fd, const sockaddr* addr, socklen_t len,
-                         std::uint64_t timeout_ms) {
-  if (timeout_ms == 0) {
-    while (::connect(fd, addr, len) < 0) {
-      if (errno == EINTR) continue;
-      return errno;
-    }
-    return 0;
+void set_timeout(int fd, int option, std::uint64_t ms) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+}
+
+/// A blocking connect() bounded by `timeout_ms` (0 = unbounded): a send
+/// timeout caps connect() too, for both socket families. Throws Timeout
+/// past the bound and runtime_error when the peer is not there.
+int connect_to(const sockaddr* addr, socklen_t len, const std::string& where,
+               std::uint64_t timeout_ms) {
+  const int fd = ::socket(addr->sa_family, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw std::runtime_error("query: socket() failed");
+  set_timeout(fd, SO_SNDTIMEO, timeout_ms);
+  int rc;
+  while ((rc = ::connect(fd, addr, len)) < 0 && errno == EINTR) {
   }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd, addr, len);
-  if (rc < 0 && errno != EINPROGRESS && errno != EAGAIN) {
-    const int err = errno;
-    ::fcntl(fd, F_SETFL, flags);
-    return err;
+  const int err = errno;
+  set_timeout(fd, SO_SNDTIMEO, 0);
+  if (rc == 0) return fd;
+  ::close(fd);
+  if (err == EINPROGRESS || err == EAGAIN) {
+    throw Client::Timeout("query: connect to " + where + " timed out after " +
+                          std::to_string(timeout_ms) + "ms");
   }
-  if (rc < 0) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const auto deadline = util::Deadline::after_ms(timeout_ms);
-    while (true) {
-      const std::uint64_t left = deadline.remaining_ms();
-      if (left == 0) {
-        ::fcntl(fd, F_SETFL, flags);
-        return -1;
-      }
-      rc = ::poll(&pfd, 1, static_cast<int>(left));
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc == 0) {
-        ::fcntl(fd, F_SETFL, flags);
-        return -1;
-      }
-      break;
-    }
-    int so_error = 0;
-    socklen_t so_len = sizeof(so_error);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &so_len);
-    if (so_error != 0) {
-      ::fcntl(fd, F_SETFL, flags);
-      return so_error;
-    }
-  }
-  ::fcntl(fd, F_SETFL, flags);
-  return 0;
+  throw std::runtime_error("query: cannot connect to " + where + ": " +
+                           std::strerror(err));
 }
 
 }  // namespace
@@ -81,16 +55,14 @@ Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      buf_(std::move(other.buf_)),
-      start_(std::exchange(other.start_, 0)),
+      reader_(std::move(other.reader_)),
       recv_timeout_ms_(std::exchange(other.recv_timeout_ms_, 0)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    buf_ = std::move(other.buf_);
-    start_ = std::exchange(other.start_, 0);
+    reader_ = std::move(other.reader_);
     recv_timeout_ms_ = std::exchange(other.recv_timeout_ms_, 0);
   }
   return *this;
@@ -104,21 +76,8 @@ Client Client::connect_unix(const std::string& path,
     throw std::runtime_error("query: unix socket path too long: " + path);
   }
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("query: socket(AF_UNIX) failed");
-  const int rc = connect_with_timeout(
-      fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-      connect_timeout_ms);
-  if (rc != 0) {
-    ::close(fd);
-    if (rc < 0) {
-      throw Timeout("query: connect to " + path + " timed out after " +
-                    std::to_string(connect_timeout_ms) + "ms");
-    }
-    throw std::runtime_error("query: cannot connect to " + path + ": " +
-                             std::strerror(rc));
-  }
-  return Client(fd);
+  return Client(connect_to(reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr), path, connect_timeout_ms));
 }
 
 Client Client::connect_tcp(const std::string& host, std::uint16_t port,
@@ -133,32 +92,12 @@ Client Client::connect_tcp(const std::string& host, std::uint16_t port,
     throw std::runtime_error("query: cannot resolve " + host + ": " +
                              ::gai_strerror(gai));
   }
-  int fd = -1;
-  int last_err = 0;
-  bool timed_out = false;
-  for (const addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) continue;
-    const int rc = connect_with_timeout(fd, ai->ai_addr, ai->ai_addrlen,
-                                        connect_timeout_ms);
-    if (rc == 0) break;
-    timed_out = rc < 0;
-    last_err = rc > 0 ? rc : ETIMEDOUT;
-    ::close(fd);
-    fd = -1;
-  }
+  sockaddr_in addr{};
+  std::memcpy(&addr, res->ai_addr, sizeof(addr));
   ::freeaddrinfo(res);
-  if (fd < 0) {
-    const std::string where = host + ":" + std::to_string(port);
-    if (timed_out) {
-      throw Timeout("query: connect to " + where + " timed out after " +
-                    std::to_string(connect_timeout_ms) + "ms");
-    }
-    throw std::runtime_error("query: cannot connect to " + where + ": " +
-                             std::strerror(last_err));
-  }
-  return Client(fd);
+  return Client(connect_to(reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr), host + ":" + std::to_string(port),
+                           connect_timeout_ms));
 }
 
 void Client::close() {
@@ -166,8 +105,7 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  buf_.clear();
-  start_ = 0;
+  reader_.clear();
 }
 
 void Client::shutdown_write() {
@@ -176,11 +114,7 @@ void Client::shutdown_write() {
 
 void Client::set_recv_timeout_ms(std::uint64_t ms) {
   recv_timeout_ms_ = ms;
-  if (fd_ < 0) return;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (fd_ >= 0) set_timeout(fd_, SO_RCVTIMEO, ms);
 }
 
 void Client::send_raw(std::string_view bytes) {
@@ -211,18 +145,13 @@ void Client::send_control(const ControlRequest& req) {
 }
 
 bool Client::read_reply(Reply* out) {
-  char chunk[16384];
   while (true) {
-    const auto bytes = std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(buf_.data()) + start_,
-        buf_.size() - start_);
-    const FrameDecode dec = util::decode_frame(bytes);
+    const FrameDecode& dec = reader_.peek();
     if (dec.status == FrameDecode::Status::kBad) {
       throw std::runtime_error("query: malformed reply frame: " + dec.detail);
     }
     if (dec.status == FrameDecode::Status::kOk) {
-      const auto payload =
-          bytes.subspan(FrameHeader::kWireSize, dec.header.payload_len);
+      const auto payload = reader_.payload();
       out->type = static_cast<FrameType>(dec.header.type);
       out->request_id = dec.header.request_id;
       bool parsed = true;
@@ -245,17 +174,12 @@ bool Client::read_reply(Reply* out) {
         throw std::runtime_error("query: unparseable reply payload (type " +
                                  std::to_string(dec.header.type) + ")");
       }
-      start_ += dec.consumed;
-      if (start_ == buf_.size()) {
-        buf_.clear();
-        start_ = 0;
-      }
+      reader_.pop();
       return true;
     }
     // kNeedMore: pull more bytes off the socket.
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = reader_.read_from(fd_);
     if (n < 0) {
-      if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         throw Timeout("query: no reply within " +
                       std::to_string(recv_timeout_ms_) + "ms deadline");
@@ -264,12 +188,11 @@ bool Client::read_reply(Reply* out) {
                                std::strerror(errno));
     }
     if (n == 0) {
-      if (start_ < buf_.size()) {
+      if (reader_.buffered() > 0) {
         throw std::runtime_error("query: connection closed mid-reply");
       }
       return false;  // clean EOF
     }
-    buf_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 

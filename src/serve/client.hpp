@@ -1,6 +1,6 @@
 // Blocking client for the serve protocol, shared by the `iotax query`
-// CLI, the serve robustness tests, bench_serve and the fleet router's
-// backhaul (via RetryingClient). Thin by design: it connects, writes
+// CLI, the serve robustness tests, bench_serve and the fleet
+// supervisor's health pings. Thin by design: it connects, writes
 // frames, and reads back framed replies; pipelining is the caller's
 // loop (send k requests, then match replies by id).
 //
@@ -80,8 +80,7 @@ class Client {
   explicit Client(int fd) : fd_(fd) {}
 
   int fd_ = -1;
-  std::string buf_;
-  std::size_t start_ = 0;
+  util::FrameReader reader_;
   std::uint64_t recv_timeout_ms_ = 0;
 };
 

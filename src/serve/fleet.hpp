@@ -1,30 +1,27 @@
 // The serving fleet: a supervised pack of shard daemons behind one
 // consistent-hashing router.
 //
-//   client --> Router --> RetryingClient --> shard g<slot>r<k> (iotax serve)
-//                               ^                   ^
-//                               |                   |
-//                        failover/retry      Supervisor (spawn, health
-//                                            ping, SIGKILL hung shards,
-//                                            restart w/ backoff budget)
+//   clients ==> Router (one epoll thread) ==> one backhaul per shard
+//               pending: backhaul id -> (session, client id, try state)
+//                                              shard g<slot>r<k> (iotax serve)
+//                                                   ^
+//               Supervisor: spawn, health ping, SIGKILL hung shards,
+//               restart under a backoff budget -----+
 //
-// Topology: n_groups replica groups, n_replicas shards per group; every
-// shard loads the same checkpoints, so the hash only decides *where* a
-// request runs, never *what* it answers — which is why a mid-load
-// `kill -9` of any shard is invisible to clients: the router's
-// RetryingClient fails over to a sibling replica and the answer stays
-// bit-identical to offline `iotax predict`.
-//
-// Failure model: shard death or hang is detected (waitpid / ping
-// deadline), the shard is restarted under an exponential-backoff
-// restart budget, and in the window before it returns the group's other
-// replicas absorb the traffic. Only when an entire group stays
-// unreachable past the request deadline does a client see an error —
-// the typed kDegraded reply carrying the terminal transport Reason.
-// Chaos (src/faults/chaos.hpp) drives all of this deterministically in
-// tests: kill/hang events address shards through the supervisor, drop/
-// delay events act inside the router, and plan ground truth is compared
-// counter-exact against SupervisorStats / FleetStats.
+// Every shard loads the same checkpoints, so the hash only decides
+// *where* a request runs, never *what* it answers. The router forwards
+// each client's frames as they arrive, pipelined over one multiplexed
+// connection per shard, so a client's window reaches the shard's batcher
+// whole. Retry, BUSY back-off and failover are per-request state under
+// deadlines, which is why a mid-load `kill -9` of a shard is invisible
+// to clients: its in-flight requests go out again to a sibling replica
+// and the answers stay bit-identical to offline `iotax predict`. Only
+// when a whole group stays unreachable past the request deadline does a
+// client see an error: kDegraded, carrying the terminal transport
+// Reason. Chaos (src/faults/chaos.hpp) scripts all of this: kill/hang
+// reach shards through the supervisor, drop/delay act in the router, and
+// the plan's ground truth is compared counter-exact to SupervisorStats /
+// FleetStats.
 #pragma once
 
 #include <sys/types.h>
@@ -39,12 +36,28 @@
 #include <vector>
 
 #include "src/faults/chaos.hpp"
-#include "src/serve/retrying_client.hpp"
+#include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/quarantine.hpp"
+#include "src/util/rng.hpp"
 
 namespace iotax::serve {
+
+/// Where a shard listens. Stable across shard restarts (the supervisor
+/// rebinds the same socket path / port), which is what lets a request
+/// that failed over land on a freshly restarted replica later.
+struct Endpoint {
+  enum class Kind : std::uint8_t { kUnix, kTcp };
+  Kind kind = Kind::kUnix;
+  std::string path;  // kUnix
+  std::string host;  // kTcp: a numeric IPv4 address
+  std::uint16_t port = 0;
+
+  static Endpoint unix_path(std::string p);
+  static Endpoint tcp(std::string host, std::uint16_t port);
+  std::string describe() const;
+};
 
 /// Which replica group serves a request: FNV-1a over the model index
 /// and the feature doubles' bit patterns, mod n_groups. Pure function
@@ -172,7 +185,9 @@ struct RouterConfig {
   /// Front listeners, same semantics as ServeConfig.
   std::string unix_socket;
   int tcp_port = -1;
-  /// Per-request budget and per-attempt cap for the backhaul.
+  /// Per-request budget and per-try cap for the backhaul: a try with no
+  /// reply after try_timeout_ms fails over, and the first failure past
+  /// deadline_ms (counted from admission) answers kDegraded.
   std::uint64_t deadline_ms = 5000;
   std::uint64_t try_timeout_ms = 250;
   util::BackoffPolicy retry_backoff{};
@@ -182,7 +197,8 @@ struct RouterConfig {
   faults::ChaosPlan chaos;
   /// Shard topology: exactly one of these. A supervisor owns real
   /// processes; static_groups points at externally managed listeners
-  /// (how the unit tests route to in-process Servers).
+  /// (how the unit tests route to in-process Servers), which are taken
+  /// to run with ServeConfig{}'s max_inflight.
   Supervisor* supervisor = nullptr;
   std::vector<std::vector<Endpoint>> static_groups;
 };
@@ -194,10 +210,11 @@ struct FleetStats {
   std::uint64_t requests = 0;      // predict requests admitted
   std::uint64_t responses = 0;     // predict responses relayed
   std::uint64_t errors = 0;        // typed error replies relayed/created
-  std::uint64_t retries = 0;       // backhaul attempts after the first
-  std::uint64_t failovers = 0;     // replica switches
+  std::uint64_t retries = 0;       // backhaul tries after a request's first
+  std::uint64_t failovers = 0;     // tries moved to the next replica
   std::uint64_t busy_retries = 0;  // BUSY replies absorbed by retry
   std::uint64_t degraded = 0;      // kDegraded replies (deadline spent)
+  std::uint64_t late_replies = 0;  // shard replies to tries already given up
   std::uint64_t chaos_kills = 0;
   std::uint64_t chaos_hangs = 0;
   std::uint64_t chaos_drops = 0;
@@ -211,16 +228,17 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Bind front listeners and start accepting. The shard source
+  /// Bind front listeners and start the event loop. The shard source
   /// (supervisor or static groups) must already be running; throws if
   /// neither or both are configured, or the chaos plan addresses shards
   /// outside the topology.
   void start();
-  /// Close listeners, finish in-flight sessions, join. Idempotent.
+  /// Close listeners, stop reading clients, answer every admitted
+  /// request, join. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-  int tcp_port() const { return bound_tcp_port_; }
+  int tcp_port() const { return listeners_.tcp_port; }
   std::size_t n_groups() const { return groups_.size(); }
 
   FleetStats stats() const;
@@ -229,48 +247,24 @@ class Router {
   util::QuarantineReport quarantine() const;
 
  private:
-  struct Session;
+  struct Loop;  // the event loop's state; fleet.cpp
 
-  void accept_loop();
-  void session_loop(std::shared_ptr<Session> session);
-  bool handle_frame(const std::shared_ptr<Session>& session,
-                    const util::FrameHeader& header,
-                    std::span<const std::uint8_t> payload);
-  /// Fire every chaos event due at this admitted-request count.
-  void apply_chaos(std::uint64_t request_count, Session& session);
   void note_quarantine(util::Reason reason, const std::string& detail);
-  static bool write_frame(Session& session, std::string_view bytes);
 
   RouterConfig config_;
   std::vector<std::vector<Endpoint>> groups_;
-
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
+  Listeners listeners_;
 
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  std::thread accept_thread_;
-  mutable std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;      // guarded by sessions_mu_
-  std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
-
-  std::mutex chaos_mu_;
-  std::size_t chaos_cursor_ = 0;  // guarded by chaos_mu_
+  std::unique_ptr<Loop> loop_;
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_
 
-  RetryCounters retry_counters_;
-  std::atomic<std::uint64_t> n_connections_{0};
-  std::atomic<std::uint64_t> n_requests_{0};
-  std::atomic<std::uint64_t> n_responses_{0};
-  std::atomic<std::uint64_t> n_errors_{0};
-  std::atomic<std::uint64_t> n_chaos_kills_{0};
-  std::atomic<std::uint64_t> n_chaos_hangs_{0};
-  std::atomic<std::uint64_t> n_chaos_drops_{0};
-  std::atomic<std::uint64_t> n_chaos_delays_{0};
+  /// Written by the event loop, read by stats(); every access to a field
+  /// goes through std::atomic_ref.
+  FleetStats counts_;
+  std::thread loop_thread_;
 };
 
 }  // namespace iotax::serve

@@ -8,6 +8,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -43,53 +44,67 @@ struct Server::Pending {
   std::chrono::steady_clock::time_point t_enqueue;
 };
 
-namespace {
-
-int make_unix_listener(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    throw std::runtime_error("serve: unix socket path too long: " + path);
+void Listeners::open(const std::string& unix_socket, int port,
+                     const char* who) {
+  const std::string me = std::string(who) + ": ";
+  const auto listen_on = [&](const sockaddr* addr, socklen_t len,
+                             const std::string& where) {
+    const int fd = ::socket(addr->sa_family,
+                            SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+    if (fd < 0) throw std::runtime_error(me + "socket() failed");
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(fd, addr, len) < 0 || ::listen(fd, 128) < 0) {
+      const int err = errno;
+      ::close(fd);
+      close();
+      throw std::runtime_error(me + "cannot listen on " + where + ": " +
+                               std::strerror(err));
+    }
+    return fd;
+  };
+  if (!unix_socket.empty()) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (unix_socket.size() >= sizeof(addr.sun_path)) {
+      throw std::runtime_error(me + "unix socket path too long: " +
+                               unix_socket);
+    }
+    std::memcpy(addr.sun_path, unix_socket.c_str(), unix_socket.size() + 1);
+    ::unlink(unix_socket.c_str());  // stale socket from a previous run
+    unix_fd = listen_on(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
+                        "unix socket " + unix_socket);
+    unix_path = unix_socket;
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("serve: socket(AF_UNIX) failed");
-  ::unlink(path.c_str());  // stale socket from a previous run
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("serve: cannot listen on unix socket " + path +
-                             ": " + std::strerror(err));
+  if (port >= 0) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    tcp_fd = listen_on(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
+                       "TCP port " + std::to_string(port));
+    socklen_t len = sizeof(addr);
+    if (::getsockname(tcp_fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
+      tcp_port = ntohs(addr.sin_port);
+    }
   }
-  return fd;
+  if (unix_fd < 0 && tcp_fd < 0) {
+    throw std::runtime_error(
+        me + "no listener configured (need --socket and/or --port)");
+  }
 }
 
-int make_tcp_listener(int port, int* bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) throw std::runtime_error("serve: socket(AF_INET) failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 64) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("serve: cannot listen on TCP port " +
-                             std::to_string(port) + ": " + std::strerror(err));
+void Listeners::close() {
+  if (unix_fd >= 0) {
+    ::close(unix_fd);
+    ::unlink(unix_path.c_str());
+    unix_fd = -1;
   }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    *bound_port = ntohs(bound.sin_port);
+  if (tcp_fd >= 0) {
+    ::close(tcp_fd);
+    tcp_fd = -1;
   }
-  return fd;
 }
-
-}  // namespace
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -138,16 +153,7 @@ void Server::start() {
     shadow_ = std::move(entry);
   }
   queue_ = std::make_unique<util::BoundedQueue<Pending>>(config_.max_inflight);
-  if (!config_.unix_socket.empty()) {
-    unix_fd_ = make_unix_listener(config_.unix_socket);
-  }
-  if (config_.tcp_port >= 0) {
-    tcp_fd_ = make_tcp_listener(config_.tcp_port, &bound_tcp_port_);
-  }
-  if (unix_fd_ < 0 && tcp_fd_ < 0) {
-    throw std::runtime_error("serve: no listener configured "
-                             "(need --socket and/or --port)");
-  }
+  listeners_.open(config_.unix_socket, config_.tcp_port, "serve");
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -165,15 +171,7 @@ void Server::stop() {
   }
   // 1. Stop accepting and close the listeners.
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (unix_fd_ >= 0) {
-    ::close(unix_fd_);
-    ::unlink(config_.unix_socket.c_str());
-    unix_fd_ = -1;
-  }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
+  listeners_.close();
   // 2. Stop the session readers (no new admissions). shutdown(SHUT_RD)
   // turns a blocked poll into an immediate EOF; pending responses still
   // flow out through the write side.
@@ -191,6 +189,10 @@ void Server::stop() {
     readers.swap(session_threads_);
   }
   for (auto& t : readers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    finished_.clear();
+  }
   // 3. Drain: the batcher answers every admitted request, then exits.
   queue_->close();
   if (batcher_thread_.joinable()) batcher_thread_.join();
@@ -257,15 +259,19 @@ void Server::note_quarantine(Reason reason, const std::string& detail) {
   IOTAX_OBS_COUNT("serve.quarantined", 1);
 }
 
-void Server::send_error(const std::shared_ptr<Session>& session,
-                        const ErrorResponse& err, bool count_as_error) {
-  write_frame(*session, encode_error_response(err));
-  if (count_as_error) {
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    IOTAX_OBS_COUNT("serve.errors", 1);
-  } else {
+void Server::refuse(const std::shared_ptr<Session>& session,
+                    std::uint64_t request_id, ServeStatus status,
+                    std::optional<Reason> reason, std::string detail,
+                    const std::string& why) {
+  if (reason) note_quarantine(*reason, why.empty() ? detail : why);
+  write_frame(*session, encode_error_response(ErrorResponse{
+                            request_id, status, reason, std::move(detail)}));
+  if (status == ServeStatus::kBusy || status == ServeStatus::kShuttingDown) {
     n_shed_.fetch_add(1, std::memory_order_relaxed);
     IOTAX_OBS_COUNT("serve.shed", 1);
+  } else {
+    n_errors_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("serve.errors", 1);
   }
 }
 
@@ -273,9 +279,12 @@ void Server::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     pollfd fds[2];
     int n_fds = 0;
-    if (unix_fd_ >= 0) fds[n_fds++] = {unix_fd_, POLLIN, 0};
-    if (tcp_fd_ >= 0) fds[n_fds++] = {tcp_fd_, POLLIN, 0};
+    for (const int fd : {listeners_.unix_fd, listeners_.tcp_fd}) {
+      if (fd >= 0) fds[n_fds++] = {fd, POLLIN, 0};
+    }
     const int rc = ::poll(fds, static_cast<nfds_t>(n_fds), 100);
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    reap_sessions_locked();
     if (rc <= 0) continue;
     for (int i = 0; i < n_fds; ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
@@ -285,81 +294,72 @@ void Server::accept_loop() {
       session->fd = cfd;
       n_connections_.fetch_add(1, std::memory_order_relaxed);
       IOTAX_OBS_COUNT("serve.connections", 1);
-      std::lock_guard<std::mutex> lock(sessions_mu_);
       sessions_.push_back(session);
       session_threads_.emplace_back(
-          [this, session = std::move(session)] { session_loop(session); });
+          [this, session = std::move(session)]() mutable {
+            session_loop(std::move(session));
+            std::lock_guard<std::mutex> done(sessions_mu_);
+            finished_.push_back(std::this_thread::get_id());
+          });
     }
   }
 }
 
+void Server::reap_sessions_locked() {
+  // These readers have released their sessions and only have to return.
+  // Unjoined, each would keep its stack mapped until stop(): a shard the
+  // supervisor pings on a fresh connection every 100 ms would run out of
+  // mappings within the hour.
+  for (const auto id : finished_) {
+    const auto it = std::find_if(
+        session_threads_.begin(), session_threads_.end(),
+        [id](const std::thread& t) { return t.get_id() == id; });
+    if (it == session_threads_.end()) continue;
+    it->join();
+    *it = std::move(session_threads_.back());
+    session_threads_.pop_back();
+  }
+  finished_.clear();
+  std::erase_if(sessions_, [](const auto& weak) { return weak.expired(); });
+}
+
 void Server::session_loop(std::shared_ptr<Session> session) {
-  std::vector<std::uint8_t> buf;
-  std::size_t start = 0;  // parse cursor into buf
-  std::uint8_t chunk[16384];
+  util::FrameReader reader;
   while (!stopping_.load(std::memory_order_acquire)) {
     pollfd pfd{session->fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (rc == 0) continue;
-    const ssize_t n = ::recv(session->fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    if (rc < 0 && errno != EINTR) break;
+    if (rc <= 0) continue;
+    const ssize_t n = reader.read_from(session->fd);
+    if (n < 0) break;
     if (n == 0) {
       // EOF. Anything left in the buffer is a frame the peer never
       // finished — the wire-level analogue of a truncated archive.
       // During drain the cut is ours, not the peer's: stay silent.
-      if (start < buf.size() && !stopping_.load(std::memory_order_acquire)) {
-        note_quarantine(Reason::kTruncated,
-                        "connection closed inside a frame (" +
-                            std::to_string(buf.size() - start) +
-                            " byte(s) of partial frame)");
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = Reason::kTruncated;
-        err.detail = "truncated frame";
-        send_error(session, err);
+      if (reader.buffered() > 0 && !stopping_.load(std::memory_order_acquire)) {
+        refuse(session, 0, ServeStatus::kBadFrame, Reason::kTruncated,
+               "truncated frame", reader.truncation_detail());
       }
       break;
     }
-    buf.insert(buf.end(), chunk, chunk + n);
     bool close_session = false;
     while (true) {
-      const auto view = std::span<const std::uint8_t>(buf).subspan(start);
-      const FrameDecode dec = util::decode_frame(view);
+      const FrameDecode& dec = reader.peek();
       if (dec.status == FrameDecode::Status::kNeedMore) break;
       if (dec.status == FrameDecode::Status::kBad) {
         // Framing is lost — reply with the typed defect and close; the
         // daemon itself keeps serving every other connection.
-        note_quarantine(dec.reason, dec.detail);
-        ErrorResponse err;
-        err.status = ServeStatus::kBadFrame;
-        err.reason = dec.reason;
-        err.detail = dec.detail;
-        send_error(session, err);
+        refuse(session, 0, ServeStatus::kBadFrame, dec.reason, dec.detail);
         close_session = true;
         break;
       }
-      const auto payload =
-          view.subspan(FrameHeader::kWireSize,
-                       dec.header.payload_len);
-      if (!handle_frame(session, dec.header, payload)) {
+      if (!handle_frame(session, dec.header, reader.payload())) {
         close_session = true;
         break;
       }
-      start += dec.consumed;
+      reader.pop();
     }
     if (close_session) break;
-    // Compact the consumed prefix once it dominates the buffer.
-    if (start > 4096 && start * 2 > buf.size()) {
-      buf.erase(buf.begin(), buf.begin() + static_cast<long>(start));
-      start = 0;
-    }
   }
 }
 
@@ -376,8 +376,8 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
       ControlRequest creq;
       ErrorResponse cerr;
       if (!decode_control_request(header, payload, &creq, &cerr)) {
-        note_quarantine(*cerr.reason, cerr.detail);
-        send_error(session, cerr);
+        refuse(session, cerr.request_id, cerr.status, cerr.reason,
+               cerr.detail);
         return true;
       }
       handle_control(session, creq);
@@ -386,15 +386,9 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
     default: {
       // Well-framed but not something a client may send. The frame
       // boundary is intact, so the connection survives.
-      note_quarantine(Reason::kMalformedHeader,
-                      "unexpected frame type " +
-                          std::to_string(header.type));
-      ErrorResponse err;
-      err.request_id = header.request_id;
-      err.status = ServeStatus::kBadFrame;
-      err.reason = Reason::kMalformedHeader;
-      err.detail = "unexpected frame type";
-      send_error(session, err);
+      refuse(session, header.request_id, ServeStatus::kBadFrame,
+             Reason::kMalformedHeader, "unexpected frame type",
+             "unexpected frame type " + std::to_string(header.type));
       return true;
     }
   }
@@ -403,17 +397,14 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
   pending.session = session;
   ErrorResponse err;
   if (!decode_predict_request(header, payload, &pending.req, &err)) {
-    note_quarantine(*err.reason, err.detail);
-    send_error(session, err);
+    refuse(session, err.request_id, err.status, err.reason, err.detail);
     return true;
   }
+  const std::uint64_t id = header.request_id;
   if (pending.req.model_index >= registry_.size()) {
-    err.request_id = header.request_id;
-    err.status = ServeStatus::kUnknownModel;
-    err.reason.reset();
-    err.detail = "model index " + std::to_string(pending.req.model_index) +
-                 " outside registry of " + std::to_string(registry_.size());
-    send_error(session, err);
+    refuse(session, id, ServeStatus::kUnknownModel, std::nullopt,
+           "model index " + std::to_string(pending.req.model_index) +
+               " outside registry of " + std::to_string(registry_.size()));
     return true;
   }
   // Snapshot the slot's current publication: a concurrent promote can
@@ -423,22 +414,15 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
   const auto& model = *entry->model;
   if (model.n_features() != 0 &&
       pending.req.features.size() != model.n_features()) {
-    err.request_id = header.request_id;
-    err.status = ServeStatus::kBadRequest;
-    err.reason = Reason::kSizeMismatch;
-    err.detail = "model expects " + std::to_string(model.n_features()) +
-                 " features, request carries " +
-                 std::to_string(pending.req.features.size());
-    note_quarantine(Reason::kSizeMismatch, err.detail);
-    send_error(session, err);
+    refuse(session, id, ServeStatus::kBadRequest, Reason::kSizeMismatch,
+           "model expects " + std::to_string(model.n_features()) +
+               " features, request carries " +
+               std::to_string(pending.req.features.size()));
     return true;
   }
   if (stopping_.load(std::memory_order_acquire)) {
-    err.request_id = header.request_id;
-    err.status = ServeStatus::kShuttingDown;
-    err.reason.reset();
-    err.detail = "daemon is draining";
-    send_error(session, err, /*count_as_error=*/false);
+    refuse(session, id, ServeStatus::kShuttingDown, std::nullopt,
+           "daemon is draining");
     return true;
   }
   // Admission control: past max-inflight the request is shed with a
@@ -447,23 +431,17 @@ bool Server::handle_frame(const std::shared_ptr<Session>& session,
   if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
       config_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    err.request_id = header.request_id;
-    err.status = ServeStatus::kBusy;
-    err.reason.reset();
-    err.detail = "max-inflight " + std::to_string(config_.max_inflight) +
-                 " reached";
-    send_error(session, err, /*count_as_error=*/false);
+    refuse(session, id, ServeStatus::kBusy, std::nullopt,
+           "max-inflight " + std::to_string(config_.max_inflight) +
+               " reached");
     return true;
   }
   pending.t_enqueue = std::chrono::steady_clock::now();
   if (!queue_->try_push(std::move(pending))) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    err.request_id = header.request_id;
-    err.status = queue_->closed() ? ServeStatus::kShuttingDown
-                                  : ServeStatus::kBusy;
-    err.reason.reset();
-    err.detail = "request queue full";
-    send_error(session, err, /*count_as_error=*/false);
+    refuse(session, id,
+           queue_->closed() ? ServeStatus::kShuttingDown : ServeStatus::kBusy,
+           std::nullopt, "request queue full");
     return true;
   }
   n_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -704,11 +682,8 @@ void Server::run_batch(std::vector<Pending>&& batch) {
     } catch (const std::exception& e) {
       ok = false;
       for (const auto slot : group.slots) {
-        ErrorResponse err;
-        err.request_id = batch[slot].req.request_id;
-        err.status = ServeStatus::kInternal;
-        err.detail = e.what();
-        send_error(batch[slot].session, err);
+        refuse(batch[slot].session, batch[slot].req.request_id,
+               ServeStatus::kInternal, std::nullopt, e.what());
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
       }
     }

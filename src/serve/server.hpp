@@ -90,6 +90,20 @@ struct ServeStats {
   double max_abs_divergence = 0.0;    // worst |production - shadow| seen
 };
 
+/// The front door of a daemon or router: non-blocking Unix-domain and/or
+/// TCP (127.0.0.1) listeners. open() throws, prefixed with `who`, when
+/// one cannot be bound or neither is configured; close() also unlinks
+/// the socket path.
+struct Listeners {
+  std::string unix_path;
+  int unix_fd = -1;
+  int tcp_fd = -1;
+  int tcp_port = -1;  // the bound port (a requested port 0 is ephemeral)
+
+  void open(const std::string& unix_socket, int port, const char* who);
+  void close();
+};
+
 class Server {
  public:
   explicit Server(ServeConfig config);
@@ -110,7 +124,7 @@ class Server {
 
   /// Actual TCP port after start() (useful with config tcp_port = 0);
   /// -1 when TCP is disabled.
-  int tcp_port() const { return bound_tcp_port_; }
+  int tcp_port() const { return listeners_.tcp_port; }
 
   const ml::ModelRegistry& registry() const { return registry_; }
   const ServeConfig& config() const { return config_; }
@@ -128,6 +142,8 @@ class Server {
   struct Pending;
 
   void accept_loop();
+  /// Join the reader threads that have exited; sessions_mu_ held.
+  void reap_sessions_locked();
   void session_loop(std::shared_ptr<Session> session);
   void batcher_loop();
   /// Handle one complete frame from `session`; returns false when the
@@ -140,17 +156,20 @@ class Server {
   void handle_control(const std::shared_ptr<Session>& session,
                       const ControlRequest& req);
   void run_batch(std::vector<Pending>&& batch);
-  void send_error(const std::shared_ptr<Session>& session,
-                  const ErrorResponse& err, bool count_as_error = true);
+  /// Reply with a typed error (BUSY and shutting-down count as shed). A
+  /// reply carrying a Reason also enters the quarantine ledger,
+  /// described by `why` when given.
+  void refuse(const std::shared_ptr<Session>& session,
+              std::uint64_t request_id, ServeStatus status,
+              std::optional<util::Reason> reason, std::string detail,
+              const std::string& why = {});
   void note_quarantine(util::Reason reason, const std::string& detail);
   static bool write_frame(Session& session, std::string_view bytes);
 
   ServeConfig config_;
   ml::ModelRegistry registry_;
 
-  int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  int bound_tcp_port_ = -1;
+  Listeners listeners_;
 
   std::unique_ptr<util::BoundedQueue<Pending>> queue_;
   std::atomic<std::size_t> inflight_{0};
@@ -162,6 +181,7 @@ class Server {
   std::thread batcher_thread_;
   mutable std::mutex sessions_mu_;
   std::vector<std::thread> session_threads_;      // guarded by sessions_mu_
+  std::vector<std::thread::id> finished_;         // guarded by sessions_mu_
   std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
 
   mutable std::mutex quarantine_mu_;

@@ -1,5 +1,8 @@
 #include "src/util/frame.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 namespace iotax::util {
@@ -104,6 +107,64 @@ FrameDecode decode_frame(std::span<const std::uint8_t> buf) {
   r.status = FrameDecode::Status::kOk;
   r.consumed = FrameHeader::kWireSize + r.header.payload_len;
   return r;
+}
+
+void patch_request_id(std::span<std::uint8_t> frame,
+                      std::uint64_t request_id) {
+  std::memcpy(frame.data() + 8, &request_id, sizeof(request_id));
+}
+
+namespace {
+constexpr std::size_t kReadChunk = 16384;
+}  // namespace
+
+ssize_t FrameReader::read_from(int fd) {
+  if (start_ == end_) start_ = end_ = 0;
+  if (buf_.size() - end_ < kReadChunk) {
+    // Slide the unparsed tail to the front; grow if that is not enough.
+    if (start_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + start_, end_ - start_);
+      end_ -= start_;
+      start_ = 0;
+    }
+    if (buf_.size() - end_ < kReadChunk) buf_.resize(end_ + kReadChunk);
+  }
+  ssize_t n;
+  do {
+    n = ::recv(fd, buf_.data() + end_, buf_.size() - end_, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n > 0) end_ += static_cast<std::size_t>(n);
+  return n;
+}
+
+const FrameDecode& FrameReader::peek() {
+  dec_ = decode_frame(std::span<const std::uint8_t>(buf_.data() + start_,
+                                                    end_ - start_));
+  return dec_;
+}
+
+std::span<std::uint8_t> FrameReader::frame() {
+  return {buf_.data() + start_, dec_.consumed};
+}
+
+std::span<const std::uint8_t> FrameReader::payload() const {
+  return {buf_.data() + start_ + FrameHeader::kWireSize,
+          dec_.header.payload_len};
+}
+
+void FrameReader::pop() {
+  start_ += dec_.consumed;
+  dec_ = FrameDecode{};
+}
+
+std::string FrameReader::truncation_detail() const {
+  return "connection closed inside a frame (" + std::to_string(buffered()) +
+         " byte(s) of partial frame)";
+}
+
+void FrameReader::clear() {
+  start_ = end_ = 0;
+  dec_ = FrameDecode{};
 }
 
 }  // namespace iotax::util

@@ -18,10 +18,13 @@
 //       16     4  payload_len  bytes following the header
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "src/util/quarantine.hpp"
 
@@ -102,5 +105,48 @@ struct FrameDecode {
 /// quarantine as Reason::kTruncated (the codec cannot distinguish a slow
 /// peer from a truncated one).
 FrameDecode decode_frame(std::span<const std::uint8_t> buf);
+
+/// Write `request_id` into an encoded frame's header (bytes 8-15). The
+/// frame carries no checksum, so the fleet router re-tags a forwarded
+/// frame without touching its payload.
+void patch_request_id(std::span<std::uint8_t> frame, std::uint64_t request_id);
+
+/// Reassembles frames from a byte stream: the one copy of the receive
+/// buffer, parse cursor and defect mapping that every framed connection
+/// (daemon session, router front and backhaul, blocking client) uses.
+///
+///   reader.read_from(fd);
+///   while (reader.peek().status == kOk) { use frame()/payload(); pop(); }
+///
+/// A kBad peek is unrecoverable for the stream (framing is lost); at
+/// end of stream, buffered() > 0 means the peer cut a frame short,
+/// which truncation_detail() describes as Reason::kTruncated.
+class FrameReader {
+ public:
+  /// One recv() of up to 16 KiB straight into the buffer. Returns its
+  /// result: bytes read, 0 at end of stream, -1 with errno set (EINTR
+  /// is retried).
+  ssize_t read_from(int fd);
+
+  /// Decode the frame at the cursor without consuming it.
+  const FrameDecode& peek();
+  /// The peeked kOk frame's bytes (header + payload) and payload; valid
+  /// until the next read_from or pop.
+  std::span<std::uint8_t> frame();
+  std::span<const std::uint8_t> payload() const;
+  /// Consume the peeked kOk frame.
+  void pop();
+
+  /// Bytes received but not yet popped.
+  std::size_t buffered() const { return end_ - start_; }
+  std::string truncation_detail() const;
+  void clear();
+
+ private:
+  std::vector<std::uint8_t> buf_;  // size() is the capacity
+  std::size_t start_ = 0;          // parse cursor
+  std::size_t end_ = 0;            // end of received bytes
+  FrameDecode dec_;
+};
 
 }  // namespace iotax::util

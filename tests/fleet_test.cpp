@@ -1,8 +1,9 @@
 // The fault-tolerant serving fleet: backoff/deadline primitives, the
-// consistent-hash slot function, chaos-plan parsing, the retrying
-// backhaul client against live and misbehaving shards, and the router
-// end to end over static replica groups — failover mid-load with zero
-// client-visible failures and bit-identity to offline predictions.
+// consistent-hash slot function, chaos-plan parsing, and the router end
+// to end over static replica groups of live and misbehaving shards —
+// retry, BUSY back-off, failover and kDegraded per request, pipelined
+// batches, late replies, drop/delay chaos, and bit-identity to offline
+// predictions throughout.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <stdexcept>
@@ -28,7 +30,6 @@
 #include "src/serve/client.hpp"
 #include "src/serve/fleet.hpp"
 #include "src/serve/protocol.hpp"
-#include "src/serve/retrying_client.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/backoff.hpp"
 #include "src/util/frame.hpp"
@@ -241,13 +242,18 @@ TEST(FleetChaosPlan, RejectsDefects) {
 // -- a scriptable fake shard ------------------------------------------------
 
 /// Raw unix-socket peer that speaks just enough of the serve protocol
-/// to misbehave on demand: answer BUSY n times before serving, or stay
-/// silent forever. The real daemon cannot be told to do either
-/// deterministically, and determinism is the point of these tests.
+/// to misbehave on demand: answer BUSY n times before serving, stall
+/// before its first answer, or stay silent forever. The real daemon
+/// cannot be told to do any of these deterministically, and determinism
+/// is the point of these tests.
 class FakeShard {
  public:
-  FakeShard(std::string path, std::size_t busy_first_n, bool silent)
-      : path_(std::move(path)), busy_left_(busy_first_n), silent_(silent) {
+  FakeShard(std::string path, std::size_t busy_first_n, bool silent,
+            std::uint64_t stall_first_ms = 0)
+      : path_(std::move(path)),
+        busy_left_(busy_first_n),
+        silent_(silent),
+        stall_first_ms_(stall_first_ms) {
     ::unlink(path_.c_str());
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     sockaddr_un addr{};
@@ -273,9 +279,10 @@ class FakeShard {
   std::uint64_t served() const { return served_.load(); }
   std::uint64_t busy_sent() const { return busy_sent_.load(); }
 
-  /// The prediction a request id maps to (what the client must see).
-  static double value_for(std::uint64_t request_id) {
-    return static_cast<double>(request_id) + 0.25;
+  /// The prediction a feature row maps to (what the client must see).
+  /// A function of the payload, not the id: the router re-tags ids.
+  static double value_for(const std::vector<double>& features) {
+    return features.at(0) * 2.0 + 0.25;
   }
 
  private:
@@ -325,6 +332,10 @@ class FakeShard {
     serve::PredictRequest req;
     serve::ErrorResponse err;
     if (!serve::decode_predict_request(header, payload, &req, &err)) return;
+    if (stall_first_ms_ > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stall_first_ms_));
+      stall_first_ms_ = 0;
+    }
     std::size_t expect = busy_left_.load();
     while (expect > 0 &&
            !busy_left_.compare_exchange_weak(expect, expect - 1)) {
@@ -340,7 +351,7 @@ class FakeShard {
     }
     serve::PredictResponse resp;
     resp.request_id = req.request_id;
-    resp.values = {value_for(req.request_id)};
+    resp.values = {value_for(req.features)};
     send_all(fd, serve::encode_predict_response(resp));
     served_.fetch_add(1);
   }
@@ -359,6 +370,7 @@ class FakeShard {
   std::string path_;
   std::atomic<std::size_t> busy_left_;
   bool silent_;
+  std::uint64_t stall_first_ms_;  // shard thread only
   int listen_fd_ = -1;
   std::thread thread_;
   std::atomic<bool> stopping_{false};
@@ -438,14 +450,34 @@ class FleetTest : public ::testing::Test {
     return req;
   }
 
-  /// Fast, test-friendly retry policy: small budget, tight backoff.
-  static serve::RetryPolicy test_policy(std::uint64_t deadline_ms = 2000) {
-    serve::RetryPolicy policy;
-    policy.deadline_ms = deadline_ms;
-    policy.try_timeout_ms = 100;
-    policy.backoff = {/*initial_ms=*/1, /*max_ms=*/8, /*multiplier=*/2.0,
-                      /*jitter=*/0.25};
-    return policy;
+  /// A router over static groups with a fast, test-friendly retry
+  /// policy: small budget, tight backoff.
+  static serve::RouterConfig router_config(
+      const char* tag, std::vector<std::vector<serve::Endpoint>> groups,
+      std::uint64_t deadline_ms = 2000) {
+    serve::RouterConfig cfg;
+    cfg.unix_socket = sock_path(tag);
+    cfg.static_groups = std::move(groups);
+    cfg.deadline_ms = deadline_ms;
+    cfg.try_timeout_ms = 100;
+    cfg.retry_backoff = {/*initial_ms=*/1, /*max_ms=*/8, /*multiplier=*/2.0,
+                         /*jitter=*/0.25};
+    return cfg;
+  }
+
+  static serve::Endpoint at(const char* tag) {
+    return serve::Endpoint::unix_path(sock_path(tag));
+  }
+
+  /// One request through a router, synchronously.
+  static serve::Client::Reply ask(const serve::RouterConfig& cfg,
+                                  const serve::PredictRequest& req) {
+    auto client = serve::Client::connect_unix(cfg.unix_socket);
+    client.set_recv_timeout_ms(10000);
+    client.send_predict(req);
+    serve::Client::Reply reply;
+    EXPECT_TRUE(client.read_reply(&reply));
+    return reply;
   }
 
   static Xy* train_;
@@ -486,43 +518,95 @@ TEST_F(FleetTest, ClientRecvTimeoutIsTypedNotHung) {
   mute.stop();
 }
 
-TEST_F(FleetTest, RetryingClientFailsOverFromDeadReplica) {
+TEST_F(FleetTest, ClientConnectTimeoutIsTypedNotHung) {
+  // A listener that never accepts, with its backlog full: a connect
+  // bounded at 100 ms must give up with Client::Timeout instead of
+  // blocking. A listener that is not there is a transport error.
+  const std::string path = sock_path("full");
+  ::unlink(path.c_str());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(fd, 0), 0);
+  std::vector<serve::Client> queued;  // fill the backlog
+  for (int i = 0; i < 4; ++i) {
+    try {
+      queued.push_back(serve::Client::connect_unix(path, 50));
+    } catch (const serve::Client::Timeout&) {
+      break;
+    }
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(serve::Client::connect_unix(path, 100), serve::Client::Timeout);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_THROW(
+      {
+        try {
+          serve::Client::connect_unix(sock_path("nobody_here"), 100);
+        } catch (const serve::Client::Timeout&) {
+          FAIL() << "a refused connect read as a timeout";
+        }
+      },
+      std::runtime_error);
+  ::close(fd);
+  ::unlink(path.c_str());
+}
+
+// -- per-request retry state in the router ----------------------------------
+
+TEST_F(FleetTest, RouterFailsOverFromDeadReplica) {
   serve::Server live(shard_config("fo_live"));
   live.start();
-  // Replica 0 does not exist; the client must fail over to replica 1
+  // Replica 0 does not exist; the request must fail over to replica 1
   // inside the deadline and still return the real answer.
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("fo_dead")),
-       serve::Endpoint::unix_path(sock_path("fo_live"))},
-      test_policy(), util::Rng(3), &counters);
+  const auto cfg =
+      router_config("fo_dead_front", {{at("fo_dead"), at("fo_live")}});
+  serve::Router router(cfg);
+  router.start();
   const auto offline = model_->predict(probe_->x);
-  const auto result = client.predict(request_for_row(0, 1));
-  ASSERT_TRUE(result.ok) << result.error.detail;
-  expect_bit_identical(result.response.values, {offline[0]});
-  EXPECT_GE(counters.failovers.load(), 1u);
-  EXPECT_EQ(counters.degraded.load(), 0u);
-  // Once settled on the live replica, later requests are first-try.
-  const auto again = client.predict(request_for_row(1, 2));
-  ASSERT_TRUE(again.ok);
-  expect_bit_identical(again.response.values, {offline[1]});
+  auto client = serve::Client::connect_unix(cfg.unix_socket);
+  serve::Client::Reply reply;
+  client.send_predict(request_for_row(0, 1));
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  EXPECT_EQ(reply.request_id, 1u);
+  expect_bit_identical(reply.predict.values, {offline[0]});
+  EXPECT_EQ(router.stats().failovers, 1u);
+  EXPECT_EQ(router.stats().retries, 1u);
+  // The session now prefers the live replica: later requests are
+  // first-try.
+  client.send_predict(request_for_row(1, 2));
+  ASSERT_TRUE(client.read_reply(&reply));
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse);
+  expect_bit_identical(reply.predict.values, {offline[1]});
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
+  EXPECT_EQ(stats.responses, 2u);
   live.stop();
 }
 
-TEST_F(FleetTest, RetryingClientAbsorbsBusyOnSameReplica) {
+TEST_F(FleetTest, RouterAbsorbsBusyOnSameReplica) {
   // Two scripted BUSY sheds, then service. BUSY must be retried on the
   // SAME replica (no failover — the queue needs a moment, the process
-  // is fine) and never surface to the caller.
+  // is fine) and never surface to the client.
   FakeShard shard(sock_path("busy"), /*busy_first_n=*/2, /*silent=*/false);
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("busy"))}, test_policy(),
-      util::Rng(4), &counters);
-  const auto result = client.predict(request_for_row(0, 9));
-  ASSERT_TRUE(result.ok) << result.error.detail;
-  ASSERT_EQ(result.response.values.size(), 1u);
-  EXPECT_EQ(result.response.values[0], FakeShard::value_for(9));
-  EXPECT_EQ(counters.busy_retries.load(), 2u);
+  const auto cfg = router_config("busy_front", {{at("busy")}});
+  serve::Router router(cfg);
+  router.start();
+  const auto req = request_for_row(0, 9);
+  const auto reply = ask(cfg, req);
+  ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+  EXPECT_EQ(reply.request_id, 9u);
+  ASSERT_EQ(reply.predict.values.size(), 1u);
+  EXPECT_EQ(reply.predict.values[0], FakeShard::value_for(req.features));
+  router.stop();
   EXPECT_EQ(shard.busy_sent(), 2u);
   // The shard thread bumps served() after writing the reply; give its
   // scheduler slice a moment before asserting.
@@ -531,50 +615,61 @@ TEST_F(FleetTest, RetryingClientAbsorbsBusyOnSameReplica) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(shard.served(), 1u);
-  EXPECT_EQ(counters.failovers.load(), 0u);
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.busy_retries, 2u);
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.errors, 0u);
   shard.stop();
 }
 
-TEST_F(FleetTest, RetryingClientDegradesWhenNoReplicaAnswers) {
-  serve::RetryCounters counters;
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("void_a")),
-       serve::Endpoint::unix_path(sock_path("void_b"))},
-      test_policy(/*deadline_ms=*/200), util::Rng(5), &counters);
+TEST_F(FleetTest, RouterDegradesWhenNoReplicaAnswers) {
+  const auto cfg = router_config(
+      "void_front", {{at("void_a"), at("void_b")}}, /*deadline_ms=*/200);
+  serve::Router router(cfg);
+  router.start();
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = client.predict(request_for_row(0, 1));
+  const auto reply = ask(cfg, request_for_row(0, 1));
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
-  ASSERT_FALSE(result.ok);
-  EXPECT_EQ(result.error.status, serve::ServeStatus::kDegraded);
-  EXPECT_EQ(result.error.request_id, 1u);
-  ASSERT_TRUE(result.error.reason.has_value());
-  EXPECT_EQ(*result.error.reason, Reason::kConnectionReset);
-  EXPECT_NE(result.error.detail.find("replica group unavailable"),
+  ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+  EXPECT_EQ(reply.error.status, serve::ServeStatus::kDegraded);
+  EXPECT_EQ(reply.request_id, 1u);
+  ASSERT_TRUE(reply.error.reason.has_value());
+  EXPECT_EQ(*reply.error.reason, Reason::kConnectionReset);
+  EXPECT_NE(reply.error.detail.find("replica group unavailable"),
             std::string::npos)
-      << result.error.detail;
-  EXPECT_EQ(counters.degraded.load(), 1u);
-  EXPECT_GE(counters.retries.load(), 1u);
+      << reply.error.detail;
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.degraded, 1u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_GE(stats.retries, 1u);
   // The deadline bounds the pain: well past 200ms would mean the retry
-  // loop ignores its budget. Generous slack for slow CI machines.
+  // state ignores its budget. Generous slack for slow CI machines.
   EXPECT_LT(elapsed, 2000);
 }
 
-TEST_F(FleetTest, RetryingClientPassesModelVerdictsThrough) {
+TEST_F(FleetTest, RouterPassesModelVerdictsThrough) {
   serve::Server live(shard_config("verdict"));
   live.start();
-  serve::RetryingClient client(
-      {serve::Endpoint::unix_path(sock_path("verdict"))}, test_policy(),
-      util::Rng(6));
+  const auto cfg = router_config("verdict_front", {{at("verdict")}});
+  serve::Router router(cfg);
+  router.start();
   // Unknown model index: a typed answer, not a transport failure — it
   // must come back on the first attempt, not burn the retry budget.
   auto req = request_for_row(0, 5);
   req.model_index = 7;
-  const auto result = client.predict(req);
-  ASSERT_FALSE(result.ok);
-  EXPECT_EQ(result.error.status, serve::ServeStatus::kUnknownModel);
-  EXPECT_EQ(result.error.request_id, 5u);
+  const auto reply = ask(cfg, req);
+  ASSERT_EQ(reply.type, FrameType::kErrorResponse);
+  EXPECT_EQ(reply.error.status, serve::ServeStatus::kUnknownModel);
+  EXPECT_EQ(reply.request_id, 5u);
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
   live.stop();
 }
 
@@ -864,6 +959,167 @@ TEST_F(FleetTest, RouterConfigContractsAreEnforced) {
     serve::Router router(cfg);
     EXPECT_THROW(router.start(), std::invalid_argument);
   }
+}
+
+// -- pipelining and the event loop ------------------------------------------
+
+TEST_F(FleetTest, RouterPipelinesAWindowIntoShardBatches) {
+  // A client's window must reach the shard as a window: 16 requests
+  // sent back to back land in the shard's 50 ms gather window together,
+  // not one batch per request as stop-and-wait forwarding gave.
+  auto shard_cfg = shard_config("pipe_g0");
+  shard_cfg.batch_wait_us = 50000;
+  serve::Server shard(shard_cfg);
+  shard.start();
+  const auto cfg = router_config("pipe_front", {{at("pipe_g0")}});
+  serve::Router router(cfg);
+  router.start();
+  const auto offline = model_->predict(probe_->x);
+  constexpr std::size_t kWindow = 16;
+  auto client = serve::Client::connect_unix(cfg.unix_socket);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  std::vector<double> served(kWindow, 0.0);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse);
+    served[reply.request_id - 1] = reply.predict.values[0];
+  }
+  client.close();
+  router.stop();
+  shard.stop();
+  expect_bit_identical(
+      served, std::vector<double>(offline.begin(), offline.begin() + kWindow));
+  EXPECT_EQ(shard.stats().requests, kWindow);
+  EXPECT_LE(shard.stats().batches, 2u);
+}
+
+TEST_F(FleetTest, RouterDropsLateRepliesAndAnswersEachIdOnce) {
+  // The shard stalls 450 ms before its first answer, past the 300 ms try
+  // timeout: every first try is retried under a new backhaul id, and the
+  // stalled answers, arriving late, must match nothing. Each client id
+  // is answered exactly once, with the shard's value.
+  FakeShard shard(sock_path("late"), 0, /*silent=*/false,
+                  /*stall_first_ms=*/450);
+  auto cfg = router_config("late_front", {{at("late")}}, 5000);
+  cfg.try_timeout_ms = 300;
+  serve::Router router(cfg);
+  router.start();
+  constexpr std::size_t kRequests = 8;
+  auto client = serve::Client::connect_unix(cfg.unix_socket);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  std::vector<int> answers(kRequests, 0);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    const auto row = reply.request_id - 1;
+    ASSERT_LT(row, kRequests);
+    ++answers[row];
+    EXPECT_EQ(reply.predict.values.at(0),
+              FakeShard::value_for(request_for_row(row, 0).features));
+  }
+  EXPECT_EQ(answers, std::vector<int>(kRequests, 1));
+  // Nothing else arrives: the late answers were dropped, not relayed.
+  client.set_recv_timeout_ms(300);
+  serve::Client::Reply extra;
+  EXPECT_THROW(client.read_reply(&extra), serve::Client::Timeout);
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.responses, kRequests);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.retries, kRequests);
+  EXPECT_EQ(stats.late_replies, kRequests);
+  EXPECT_EQ(stats.failovers, 0u);  // one replica: retried in place
+  shard.stop();
+}
+
+TEST_F(FleetTest, RouterChaosDropWithSixteenInFlightLosesNone) {
+  // Sixteen requests sit in a stalled shard when request 17 fires a
+  // `drop` of that backhaul. All sixteen go out again on a fresh
+  // connection; none is lost or answered twice.
+  FakeShard shard(sock_path("drop16"), 0, /*silent=*/false,
+                  /*stall_first_ms=*/300);
+  auto cfg = router_config("drop16_front", {{at("drop16")}}, 10000);
+  cfg.try_timeout_ms = 5000;
+  cfg.chaos = faults::ChaosPlan::from_json(util::Json::parse(R"({
+    "events": [{"at_request": 17, "action": "drop", "group": 0,
+                "replica": 0}]})"));
+  serve::Router router(cfg);
+  router.start();
+  constexpr std::size_t kRequests = 17;
+  auto client = serve::Client::connect_unix(cfg.unix_socket);
+  for (std::size_t i = 0; i + 1 < kRequests; ++i) {
+    client.send_predict(request_for_row(i, i + 1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client.send_predict(request_for_row(kRequests - 1, kRequests));
+  std::vector<int> answers(kRequests, 0);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse) << reply.error.detail;
+    const auto row = reply.request_id - 1;
+    ASSERT_LT(row, kRequests);
+    ++answers[row];
+    EXPECT_EQ(reply.predict.values.at(0),
+              FakeShard::value_for(request_for_row(row, 0).features));
+  }
+  EXPECT_EQ(answers, std::vector<int>(kRequests, 1));
+  client.close();
+  router.stop();
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.chaos_drops, 1u);
+  EXPECT_EQ(stats.responses, kRequests);
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.retries, kRequests - 1);  // each in-flight one, once
+  shard.stop();
+}
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(FleetTest, RouterThreadCountIsFlatInConnections) {
+  serve::Server shard(shard_config("many_g0"));
+  shard.start();
+  const auto cfg = router_config("many_front", {{at("many_g0")}});
+  serve::Router router(cfg);
+  router.start();
+  const auto offline = model_->predict(probe_->x);
+  ask(cfg, request_for_row(0, 1));  // opens the one backhaul
+  const std::size_t before = count_threads();
+  constexpr std::size_t kClients = 256;
+  std::vector<serve::Client> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(serve::Client::connect_unix(cfg.unix_socket));
+    clients.back().send_predict(request_for_row(c % probe_->x.rows(), c + 1));
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(clients[c].read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse);
+    expect_bit_identical(reply.predict.values,
+                         {offline[c % probe_->x.rows()]});
+  }
+  // Every connection is open and has been served; the router (and the
+  // shard behind its single backhaul) did it without a thread each.
+  EXPECT_EQ(count_threads(), before);
+  clients.clear();
+  router.stop();
+  shard.stop();
+  EXPECT_EQ(router.stats().connections, kClients + 1);
+  EXPECT_EQ(shard.stats().connections, 1u);
 }
 
 }  // namespace

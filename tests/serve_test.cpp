@@ -443,6 +443,46 @@ TEST_F(ServeTest, ServesManyConnectionsOverTcp) {
   EXPECT_EQ(server.stats().connections, 3u);
 }
 
+/// Lines in /proc/self/maps: one per mapping this process holds.
+std::size_t count_mappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
+  // A long-running daemon sees a stream of short connections (the fleet
+  // supervisor pings every shard on a fresh one each health interval).
+  // Each finished session's thread must be joined as the daemon goes,
+  // not kept until stop(): an unjoined thread keeps its stack mapped,
+  // and the process would run into vm.max_map_count.
+  serve::Server server(base_config("reap"));
+  server.start();
+  const auto ping_once = [&](std::uint64_t id) {
+    auto client = serve::Client::connect_unix(server.config().unix_socket);
+    client.send_ping(id);
+    serve::Client::Reply reply;
+    ASSERT_TRUE(client.read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPong);
+  };
+  // The reaper runs on the accept thread's 100 ms poll tick.
+  const auto settle = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  };
+  for (std::uint64_t i = 0; i < 20; ++i) ping_once(i + 1);
+  settle();
+  const std::size_t before = count_mappings();
+  for (std::uint64_t i = 0; i < 200; ++i) ping_once(i + 100);
+  settle();
+  const std::size_t after = count_mappings();
+  server.stop();
+  EXPECT_EQ(server.stats().connections, 220u);
+  // Unjoined, the 200 threads would add two mappings each (stack and
+  // guard page); allocator noise stays far below that.
+  EXPECT_LT(after, before + 40) << before << " -> " << after;
+}
+
 TEST_F(ServeTest, TruncationAtEveryByteBoundaryIsQuarantined) {
   serve::Server server(base_config("trunc"));
   server.start();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -172,14 +175,16 @@ bool read_whole(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Temp files write_file_atomic left beside `path`.
-std::size_t leftover_temps(const std::string& path) {
+/// Temp files write_file_atomic left beside `path` (removed with them).
+std::size_t leftover_temps(const std::string& path, bool remove = false) {
   const std::filesystem::path p(path);
   const std::string prefix = p.filename().string() + ".tmp.";
   std::size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            p.parent_path())) {
-    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+    if (entry.path().filename().string().rfind(prefix, 0) != 0) continue;
+    ++n;
+    if (remove) std::filesystem::remove(entry.path());
   }
   return n;
 }
@@ -252,6 +257,39 @@ TEST(AtomicFile, ReplacesWholeFileAndCleansUpOnFailure) {
   EXPECT_THROW(util::write_file_atomic(dir, "x"), std::runtime_error);
   EXPECT_EQ(leftover_temps(dir), 0u);
   std::filesystem::remove(dir);
+}
+
+TEST(AtomicFile, KilledWriterLeavesOldOrNewBytesNeverAPrefix) {
+  // A writer SIGKILLed part-way (an OOM kill, a supervisor giving up on
+  // a hung step) must leave the target as it was or as the writer meant
+  // it, never cut short. The child rewrites a large file in a loop, so
+  // the kill lands inside a write; the killed temp file stays behind.
+  const auto path = atomic_test_path("killed");
+  const std::string old_bytes(1 << 20, 'o');
+  const std::string new_bytes(32 << 20, 'n');
+  std::size_t interrupted = 0;
+  for (const int delay_ms : {0, 3, 8, 15, 30, 60}) {
+    util::write_file_atomic(path, old_bytes);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      while (true) util::write_file_atomic(path, new_bytes);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    std::string got;
+    ASSERT_TRUE(read_whole(path, &got));
+    EXPECT_TRUE(got == old_bytes || got == new_bytes)
+        << "after a kill at " << delay_ms << " ms the file holds "
+        << got.size() << " bytes, neither version";
+    if (leftover_temps(path, /*remove=*/true) > 0) ++interrupted;
+  }
+  // At least one kill landed mid-write, or the test proved nothing.
+  EXPECT_GE(interrupted, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 # while a chaos plan kill -9s one shard in each group mid-load.
 # Demands: zero failed requests, a served CSV byte-identical to offline,
 # supervisor restart counters matching the plan's ground truth, and a
-# clean SIGTERM drain.
+# clean SIGTERM drain. A second leg runs two `query --pipeline 16`
+# clients through a 1 x 2 fleet while the router drops a backhaul with
+# requests in flight and holds one request on a delay: again zero
+# failures and byte-identical CSVs, and the drain reports exactly the
+# plan's one drop and one delay.
 #
 #   fleet_smoke.sh <path-to-iotax> <work-dir>
 set -euo pipefail
@@ -112,5 +116,57 @@ grep "supervisor spawned" fleet.log \
 grep "supervisor spawned" fleet.log | grep -q "0 gave up" \
   || { echo "FAIL: a shard exhausted its restart budget"; \
        cat fleet.log; exit 1; }
+
+echo "== leg 2: pipelined clients under drop + delay chaos (1 x 2 fleet) =="
+mkdir -p shards2
+# One client per replica (the router rotates replica preference by
+# connection). The drop cuts g0r0's backhaul while a window is in
+# flight; the delay holds a single request.
+cat > chaos2.json <<EOF
+{"events": [
+  {"at_request": $((N_JOBS / 2)), "action": "drop", "group": 0, "replica": 0},
+  {"at_request": $N_JOBS, "action": "delay", "group": 0, "replica": 1,
+   "delay_ms": 50}]}
+EOF
+"$IOTAX" fleet --models model.gbt --socket "$WORK/router2.sock" \
+  --shard-dir "$WORK/shards2" --groups 1 --replicas 2 \
+  --chaos-plan chaos2.json --ready-file ready2.txt \
+  > fleet2.log 2>&1 &
+FLEET_PID=$!
+for _ in $(seq 1 600); do
+  [[ -f ready2.txt ]] && break
+  kill -0 "$FLEET_PID" 2>/dev/null \
+    || { echo "FAIL: fleet died during startup"; cat fleet2.log; exit 1; }
+  sleep 0.05
+done
+[[ -f ready2.txt ]] || { echo "FAIL: fleet never became ready"; exit 1; }
+CLIENTS=()
+for c in 0 1; do
+  "$IOTAX" query --socket "$WORK/router2.sock" --fleet --dataset dataset.csv \
+    --pipeline 16 --out "served2_$c.csv" > "query2_$c.log" 2>&1 &
+  CLIENTS+=($!)
+done
+for c in 0 1; do
+  wait "${CLIENTS[$c]}" \
+    || { echo "FAIL: query client $c failed"; cat "query2_$c.log"; exit 1; }
+  grep -q "0 failed request(s)" "query2_$c.log" \
+    || { echo "FAIL: client $c reported failed requests"; exit 1; }
+  cmp offline.csv "served2_$c.csv" \
+    || { echo "FAIL: client $c CSV differs from offline under drop/delay"; \
+         exit 1; }
+done
+kill -TERM "$FLEET_PID"
+rc=0
+wait "$FLEET_PID" || rc=$?
+FLEET_PID=""
+[[ $rc -eq 0 ]] || { echo "FAIL: fleet exit $rc after SIGTERM"; cat fleet2.log; exit 1; }
+grep "fleet: drained;" fleet2.log | grep -q "0 error(s), 0 degraded" \
+  || { echo "FAIL: drop/delay leaked client-visible failures"; \
+       cat fleet2.log; exit 1; }
+grep -q "chaos fired 0 kill(s), 0 hang(s), 1 drop(s), 1 delay(s)" fleet2.log \
+  || { echo "FAIL: drop/delay count != plan"; cat fleet2.log; exit 1; }
+grep -h "serve: drained;" shards2/g0r0.log shards2/g0r1.log
+echo "ok: 2 x $N_JOBS pipelined requests byte-identical to offline" \
+     "under drop + delay"
 
 echo "fleet_smoke: PASS"

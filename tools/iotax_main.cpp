@@ -262,12 +262,33 @@ DatasetSource load_dataset(const cli::Args& args) {
   return src;
 }
 
-/// Save a checkpoint a daemon may load at any moment: the file appears
-/// complete or not at all.
-void save_model_atomic(const ml::Regressor& model, const std::string& path) {
+/// Write an artifact another process or a later step reads (a
+/// checkpoint a daemon may load at any moment, a report, a prediction
+/// CSV): `fill` streams it into memory and util::write_file_atomic
+/// publishes it, so a reader sees the complete file or none of it.
+template <typename Fill>
+void write_artifact(const std::string& path, Fill&& fill) {
   std::ostringstream out;
-  model.save(out);
+  fill(out);
   util::write_file_atomic(path, out.str());
+}
+
+void save_model_atomic(const ml::Regressor& model, const std::string& path) {
+  write_artifact(path, [&](std::ostream& out) { model.save(out); });
+}
+
+/// Predictions in the one format `predict --out`, `query --out`,
+/// `query --shadow-out` and `burst --predict-out` share, so answers are
+/// byte-comparable across the offline and served paths.
+void write_prediction_csv(const std::string& path, const data::Dataset& ds,
+                          std::span<const double> pred) {
+  write_artifact(path, [&](std::ostream& out) {
+    out << "job_id,log10_pred\n";
+    out.precision(17);
+    for (std::size_t i = 0; i < pred.size(); ++i) {
+      out << ds.meta[i].job_id << ',' << pred[i] << '\n';
+    }
+  });
 }
 
 /// Every command also accepts the observability output options.
@@ -411,26 +432,26 @@ int cmd_transfer(const cli::Args& args) {
   std::fputs(taxonomy::render_transfer_report(report).c_str(), stdout);
 
   if (args.has("report")) {
-    std::ofstream out(args.get("report"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("report"));
-    out.precision(17);
-    out << "{\n"
-        << "  \"train_system\": \"" << report.train_system << "\",\n"
-        << "  \"test_system\": \"" << report.test_system << "\",\n"
-        << "  \"n_train\": " << report.n_train << ",\n"
-        << "  \"n_holdout\": " << report.n_holdout << ",\n"
-        << "  \"n_test\": " << report.n_test << ",\n"
-        << "  \"in_cluster_error\": " << report.in_cluster_error << ",\n"
-        << "  \"transfer_error\": " << report.transfer_error << ",\n"
-        << "  \"gap\": " << report.gap << ",\n"
-        << "  \"shares\": {\"application\": " << report.oracle.application
-        << ", \"system\": " << report.oracle.system
-        << ", \"contention\": " << report.oracle.contention
-        << ", \"noise\": " << report.oracle.noise << "},\n"
-        << "  \"ood_fraction_truth\": " << report.ood_fraction_truth << ",\n"
-        << "  \"ood_fraction_est\": " << report.ood_fraction_est << ",\n"
-        << "  \"ood_auc\": " << report.ood_auc << "\n"
-        << "}\n";
+    write_artifact(args.get("report"), [&](std::ostream& out) {
+      out.precision(17);
+      out << "{\n"
+          << "  \"train_system\": \"" << report.train_system << "\",\n"
+          << "  \"test_system\": \"" << report.test_system << "\",\n"
+          << "  \"n_train\": " << report.n_train << ",\n"
+          << "  \"n_holdout\": " << report.n_holdout << ",\n"
+          << "  \"n_test\": " << report.n_test << ",\n"
+          << "  \"in_cluster_error\": " << report.in_cluster_error << ",\n"
+          << "  \"transfer_error\": " << report.transfer_error << ",\n"
+          << "  \"gap\": " << report.gap << ",\n"
+          << "  \"shares\": {\"application\": " << report.oracle.application
+          << ", \"system\": " << report.oracle.system
+          << ", \"contention\": " << report.oracle.contention
+          << ", \"noise\": " << report.oracle.noise << "},\n"
+          << "  \"ood_fraction_truth\": " << report.ood_fraction_truth << ",\n"
+          << "  \"ood_fraction_est\": " << report.ood_fraction_est << ",\n"
+          << "  \"ood_auc\": " << report.ood_auc << "\n"
+          << "}\n";
+    });
     std::printf("report written to %s\n", args.get("report").c_str());
   }
 
@@ -645,30 +666,10 @@ int cmd_predict(const cli::Args& args) {
               model->name().c_str(), pred.size(),
               ml::log_error_to_percent(err));
   if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("out"));
-    out << "job_id,log10_pred\n";
-    out.precision(17);
-    for (std::size_t i = 0; i < pred.size(); ++i) {
-      out << ds.meta[i].job_id << ',' << pred[i] << '\n';
-    }
+    write_prediction_csv(args.get("out"), ds, pred);
     std::printf("predictions written to %s\n", args.get("out").c_str());
   }
   return 0;
-}
-
-/// Write probabilities in the exact format `predict --out` and
-/// `query --out` use, so burst answers are byte-comparable across the
-/// offline and served paths.
-void write_prediction_csv(const std::string& path, const data::Dataset& ds,
-                          std::span<const double> pred) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out << "job_id,log10_pred\n";
-  out.precision(17);
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    out << ds.meta[i].job_id << ',' << pred[i] << '\n';
-  }
 }
 
 /// Held-out classification quality; prints a dash row when the slice
@@ -821,9 +822,8 @@ int cmd_inject(const cli::Args& args) {
   std::printf("expected quarantine downstream: %zu record(s)\n",
               report.expected_total());
   if (args.has("report")) {
-    std::ofstream out(args.get("report"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("report"));
-    out << report.to_json().dump(2) << '\n';
+    util::write_file_atomic(args.get("report"),
+                            report.to_json().dump(2) + '\n');
     std::printf("ground truth written to %s\n", args.get("report").c_str());
   }
   return 0;
@@ -941,11 +941,8 @@ int cmd_audit(const cli::Args& args) {
       std::fputs(outcome.quarantine.render().c_str(), stdout);
     }
     if (args.has("quarantine-out")) {
-      std::ofstream qout(args.get("quarantine-out"));
-      if (!qout) {
-        throw std::runtime_error("cannot open " + args.get("quarantine-out"));
-      }
-      qout << outcome.quarantine.to_json().dump(2) << '\n';
+      util::write_file_atomic(args.get("quarantine-out"),
+                              outcome.quarantine.to_json().dump(2) + '\n');
     }
     if (!outcome.ok()) {
       std::fprintf(stderr, "audit: store %s FAILED verification: %s\n",
@@ -1009,11 +1006,8 @@ int cmd_audit(const cli::Args& args) {
     }
   }
   if (args.has("quarantine-out")) {
-    std::ofstream out(args.get("quarantine-out"));
-    if (!out) {
-      throw std::runtime_error("cannot open " + args.get("quarantine-out"));
-    }
-    out << combined.to_json().dump(2) << '\n';
+    util::write_file_atomic(args.get("quarantine-out"),
+                            combined.to_json().dump(2) + '\n');
   }
   if (mode == sim::IngestMode::kStrict && combined.total() != 0) {
     std::string reasons;
@@ -1521,13 +1515,7 @@ int cmd_query(const cli::Args& args) {
     return 1;
   }
   if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("out"));
-    out << "job_id,log10_pred\n";
-    out.precision(17);
-    for (std::size_t i = 0; i < n; ++i) {
-      out << ds.meta[i].job_id << ',' << pred[i] << '\n';
-    }
+    write_prediction_csv(args.get("out"), ds, pred);
     std::printf("predictions written to %s\n", args.get("out").c_str());
   }
   if (args.has("shadow-out")) {
@@ -1540,13 +1528,7 @@ int cmd_query(const cli::Args& args) {
     // Same format as offline `predict --out`, so a bit-exact shadow is
     // verifiable with a plain byte compare against the candidate's
     // offline predictions.
-    std::ofstream out(args.get("shadow-out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("shadow-out"));
-    out << "job_id,log10_pred\n";
-    out.precision(17);
-    for (std::size_t i = 0; i < n; ++i) {
-      out << ds.meta[i].job_id << ',' << shadow_pred[i] << '\n';
-    }
+    write_prediction_csv(args.get("shadow-out"), ds, shadow_pred);
     std::printf("shadow predictions written to %s\n",
                 args.get("shadow-out").c_str());
   }
@@ -1800,16 +1782,16 @@ int cmd_checkjson(const cli::Args& args) {
 /// Write the run's metrics / trace files when requested.
 void write_obs_outputs(const cli::Args& args) {
   if (args.has("metrics-out")) {
-    std::ofstream out(args.get("metrics-out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("metrics-out"));
-    obs::MetricsRegistry::global().write_json(out);
+    write_artifact(args.get("metrics-out"), [](std::ostream& out) {
+      obs::MetricsRegistry::global().write_json(out);
+    });
     std::fprintf(stderr, "metrics written to %s\n",
                  args.get("metrics-out").c_str());
   }
   if (args.has("trace-out")) {
-    std::ofstream out(args.get("trace-out"));
-    if (!out) throw std::runtime_error("cannot open " + args.get("trace-out"));
-    obs::TraceLog::global().write_chrome_json(out);
+    write_artifact(args.get("trace-out"), [](std::ostream& out) {
+      obs::TraceLog::global().write_chrome_json(out);
+    });
     std::fprintf(stderr, "trace written to %s\n",
                  args.get("trace-out").c_str());
   }
