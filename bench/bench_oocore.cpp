@@ -49,7 +49,10 @@ PathResult train_on(const data::Dataset& ds, bool materialize) {
   const std::vector<taxonomy::FeatureSet> feats = {
       taxonomy::FeatureSet::kPosix, taxonomy::FeatureSet::kMpiio};
   bench::Timer timer;
-  ml::GradientBoostedTrees model({.n_estimators = 48, .max_depth = 6});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 48;
+  gbt_params.max_depth = 6;
+  ml::GradientBoostedTrees model(gbt_params);
   if (materialize) {
     // The pre-store path: one heap feature matrix for the whole dataset.
     const auto x = taxonomy::feature_matrix(ds, feats);

@@ -5,10 +5,10 @@
 // wall-clock speedup of the deterministic thread-pool paths; the rest
 // guard single-core throughput.
 // Invoked with --kernels_ab, the binary skips google-benchmark and runs
-// the scalar-vs-AVX2 A/B harness for the three SIMD kernels (histogram
-// split scan, packed forest traversal, dense GEMM) at IOTAX_THREADS 1
-// and 4, verifies the tiers agree bit for bit, and writes
-// BENCH_kernels.json for tools/check_bench.cmake (KIND=kernels).
+// the scalar-vs-AVX2 A/B harness for three SIMD kernels (packed forest
+// traversal, dense forward GEMM, dense backward) at IOTAX_THREADS 1 and
+// 4, verifies the tiers agree bit for bit, and writes BENCH_kernels.json
+// for tools/check_bench.cmake (KIND=kernels).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "src/ml/kernels/dispatch.hpp"
 #include "src/ml/kernels/forest.hpp"
 #include "src/ml/kernels/gemm.hpp"
-#include "src/ml/kernels/hist.hpp"
 #include "src/util/parallel.hpp"
 #include "src/ml/ensemble.hpp"
 #include "src/ml/gbt.hpp"
@@ -311,21 +310,12 @@ class ScopedKernels {
 
 constexpr std::size_t kRows = 50000;
 constexpr std::size_t kBins = 64;
-constexpr std::size_t kHistFeatures = 32;
-// The hist scan's vector win is the gain sweep (the scatter-add build is
-// inherently scalar), so its workload is the sweep-heavy shape split
-// finding actually hits: a deep tree level — many small nodes — scanning
-// a high-resolution feature (per_feature_bins day-level start-time
-// budgets run to kMaxBins). 64 nodes x 780 rows under 1024 bins puts
-// roughly 6x more work in the sweep than in the build.
-constexpr std::size_t kHistBins = 1024;
-constexpr std::size_t kHistNodes = 64;
-constexpr std::size_t kHistNodeRows = 780;
 constexpr std::size_t kTrees = 64;
 constexpr int kTreeDepth = 6;
 constexpr std::size_t kTravFeatures = 16;
 constexpr std::size_t kGemmRows = 4096;
 constexpr std::size_t kGemmDim = 64;
+constexpr std::size_t kBatchRows = 64;  // MLP mini-batch for the backward
 constexpr int kReps = 5;
 
 template <typename F>
@@ -338,73 +328,6 @@ double best_of_ms(F&& fn) {
     best = std::min(best, t.seconds());
   }
   return best * 1e3;
-}
-
-// --- histogram split scan, mirroring build_tree's per-feature loop ----
-
-struct HistWorkload {
-  std::vector<std::uint16_t> cols;  // feature-major, features x total rows
-  std::vector<std::size_t> order;
-  std::vector<double> grad;
-  std::vector<kn::FeatureScanParams> node_params;  // one per node
-};
-
-HistWorkload make_hist_workload() {
-  HistWorkload w;
-  std::mt19937 rng(101);
-  const std::size_t total = kHistNodes * kHistNodeRows;
-  std::uniform_int_distribution<int> bin(0, kHistBins - 1);
-  std::normal_distribution<double> g(0.0, 2.0);
-  w.cols.resize(kHistFeatures * total);
-  for (auto& c : w.cols) c = static_cast<std::uint16_t>(bin(rng));
-  w.order.resize(total);
-  for (std::size_t i = 0; i < total; ++i) w.order[i] = i;
-  w.grad.resize(total);
-  for (auto& v : w.grad) v = g(rng);
-  for (std::size_t node = 0; node < kHistNodes; ++node) {
-    double g_total = 0.0;
-    for (std::size_t i = 0; i < kHistNodeRows; ++i) {
-      g_total += w.grad[node * kHistNodeRows + i];
-    }
-    const double h_total = static_cast<double>(kHistNodeRows);
-    w.node_params.push_back(
-        {g_total, h_total, 1.0, 1.0, 0.0,
-         g_total * g_total / (h_total + 1.0)});
-  }
-  return w;
-}
-
-// One pass: scan every feature across every node of the level, results
-// into per-(feature, node) slots. The parallel shape (features across
-// the pool, kernel-owned per-thread scratch) is exactly gbt.cpp's
-// split search.
-void run_hist(const HistWorkload& w, std::vector<kn::SplitScan>* out) {
-  out->assign(kHistFeatures * kHistNodes, {});
-  const std::size_t total = kHistNodes * kHistNodeRows;
-  util::parallel_for_chunks(kHistFeatures, [&](std::size_t lo,
-                                               std::size_t hi) {
-    for (std::size_t f = lo; f < hi; ++f) {
-      for (std::size_t node = 0; node < kHistNodes; ++node) {
-        const std::size_t row_lo = node * kHistNodeRows;
-        (*out)[f * kHistNodes + node] = kn::feature_scan(
-            w.cols.data() + f * total, w.order.data() + row_lo,
-            kHistNodeRows, w.grad.data() + row_lo, kHistBins,
-            w.node_params[node]);
-      }
-    }
-  });
-}
-
-bool scans_identical(const std::vector<kn::SplitScan>& a,
-                     const std::vector<kn::SplitScan>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].valid != b[i].valid || a[i].bin != b[i].bin ||
-        std::memcmp(&a[i].gain, &b[i].gain, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // --- packed forest code traversal, mirroring predict_codes ------------
@@ -495,6 +418,52 @@ void run_gemm(const GemmWorkload& w, std::vector<double>* out) {
       /*grain=*/64);
 }
 
+// --- dense backward, mirroring one training step per mini-batch ------
+
+struct BackwardWorkload {
+  std::vector<double> in;    // kGemmRows x kGemmDim layer inputs
+  std::vector<double> dout;  // kGemmRows x kGemmDim deltas, ReLU-sparse
+  std::vector<double> w;     // kGemmDim x kGemmDim
+};
+
+BackwardWorkload make_backward_workload() {
+  BackwardWorkload w;
+  std::mt19937 rng(404);
+  std::normal_distribution<double> d(0.0, 1.0);
+  w.in.resize(kGemmRows * kGemmDim);
+  w.dout.resize(kGemmRows * kGemmDim);
+  w.w.resize(kGemmDim * kGemmDim);
+  for (auto& v : w.in) v = d(rng);
+  // About half the deltas are exactly zero, as behind a ReLU.
+  for (auto& v : w.dout) v = std::max(0.0, d(rng));
+  for (auto& v : w.w) v = d(rng);
+  return w;
+}
+
+// One pass: the gradients of kGemmRows / kBatchRows mini-batches, the
+// batches spread across the pool. Each batch owns its gw and gb slots,
+// as each ensemble member owns its own. out = [gw | gb] per batch, then
+// din for every row.
+void run_backward(const BackwardWorkload& w, std::vector<double>* out) {
+  constexpr std::size_t kBatches = kGemmRows / kBatchRows;
+  constexpr std::size_t kGrad = kGemmDim * kGemmDim + kGemmDim;
+  out->assign(kBatches * kGrad + kGemmRows * kGemmDim, 0.0);
+  double* din = out->data() + kBatches * kGrad;
+  util::parallel_for_chunks(
+      kBatches,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = lo; b < hi; ++b) {
+          const std::size_t r = b * kBatchRows;
+          double* gw = out->data() + b * kGrad;
+          kn::dense_backward(w.in.data() + r * kGemmDim,
+                             w.dout.data() + r * kGemmDim, kBatchRows,
+                             kGemmDim, w.w.data(), kGemmDim, gw,
+                             gw + kGemmDim * kGemmDim, din + r * kGemmDim);
+        }
+      },
+      /*grain=*/1);
+}
+
 struct AbResult {
   double scalar_ms[2];  // [0] = 1 thread, [1] = 4 threads
   double avx2_ms[2];
@@ -544,17 +513,12 @@ bool doubles_identical(const std::vector<double>& a,
 
 int run_kernels_ab() {
   bench::banner("SIMD kernel A/B (scalar vs AVX2)",
-                "histogram scan / packed traversal / dense GEMM");
+                "packed traversal / dense GEMM / dense backward");
   const bool avx2_active = kn::avx2_compiled() && kn::avx2_supported();
   std::printf("dispatch: %s\n", kn::describe().c_str());
   if (!avx2_active) {
     std::printf("AVX2 tier unavailable; A/B degenerates to scalar/scalar\n");
   }
-
-  const auto hist_w = make_hist_workload();
-  const auto hist = ab_kernel<std::vector<kn::SplitScan>>(
-      [&](std::vector<kn::SplitScan>* out) { run_hist(hist_w, out); },
-      scans_identical);
 
   const auto trav_w = make_trav_workload();
   const auto trav = ab_kernel<std::vector<double>>(
@@ -566,15 +530,21 @@ int run_kernels_ab() {
       [&](std::vector<double>* out) { run_gemm(gemm_w, out); },
       doubles_identical);
 
-  const KernelAb kernels[] = {
-      {"hist", hist}, {"traversal", trav}, {"gemm", gemm}};
+  const auto backward_w = make_backward_workload();
+  const auto backward = ab_kernel<std::vector<double>>(
+      [&](std::vector<double>* out) { run_backward(backward_w, out); },
+      doubles_identical);
+
+  const KernelAb kernels[] = {{"traversal", trav},
+                              {"gemm", gemm},
+                              {"dense_backward", backward}};
   bool identical = true;
-  std::printf("%-10s %4s %12s %12s %9s %6s\n", "kernel", "thr", "scalar_ms",
+  std::printf("%-14s %4s %12s %12s %9s %6s\n", "kernel", "thr", "scalar_ms",
               "avx2_ms", "speedup", "ident");
   for (const auto& k : kernels) {
     identical = identical && k.result.identical;
     for (int ti = 0; ti < 2; ++ti) {
-      std::printf("%-10s %4d %12.2f %12.2f %8.2fx %6s\n", k.name,
+      std::printf("%-14s %4d %12.2f %12.2f %8.2fx %6s\n", k.name,
                   ti == 0 ? 1 : 4, k.result.scalar_ms[ti],
                   k.result.avx2_ms[ti],
                   k.result.scalar_ms[ti] / k.result.avx2_ms[ti],

@@ -36,7 +36,10 @@ int main() {
   const auto train_rows = ds.rows_in_window(0.0, train_end);
   const std::vector<taxonomy::FeatureSet> feats = {
       taxonomy::FeatureSet::kPosix, taxonomy::FeatureSet::kMpiio};
-  ml::GradientBoostedTrees model({.n_estimators = 96, .max_depth = 8});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 96;
+  gbt_params.max_depth = 8;
+  ml::GradientBoostedTrees model(gbt_params);
   model.fit(taxonomy::feature_matrix(ds, feats, train_rows),
             taxonomy::targets(ds, train_rows));
 

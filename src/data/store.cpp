@@ -1,5 +1,6 @@
 #include "src/data/store.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -73,7 +74,11 @@ StoreWriter::StoreWriter(const std::string& dir,
   for (std::size_t i = 0; i < all.size(); ++i) {
     ColumnFile cf;
     cf.name = all[i];
-    cf.file = "c" + std::to_string(i) + ".f64";
+    // Formatted, then moved in: GCC 12 reports a false -Wrestrict
+    // inside std::string's operator+ and assign for this name.
+    char file[32];
+    std::snprintf(file, sizeof(file), "c%zu.f64", i);
+    cf.file = std::string(file);
     const std::string path = dir_ + "/" + cf.file;
     cf.fp = std::fopen(path.c_str(), "wb");
     if (cf.fp == nullptr) {

@@ -93,9 +93,9 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
   tree.nodes.push_back({});
   stack.push_back({0, 0, order.size(), 0});
 
-  // Histogram scratch is owned by the kernel layer (thread-local per
-  // tier); hessian == 1 for squared loss, so the kernels track gradient
-  // sums and counts.
+  // Histogram scratch is owned by the kernel layer (thread-local);
+  // hessian == 1 for squared loss, so the scan tracks gradient sums and
+  // counts.
   std::vector<double> node_grad(order.size());
   std::vector<kernels::SplitScan> candidates;
   std::size_t hist_scans = 0;
@@ -109,10 +109,11 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
     // downstream sum sees the same FP sequence as reading grad[order[i]]
     // in place, and the per-feature scans stream a dense buffer instead
     // of re-gathering per feature.
+    double g_total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       node_grad[i] = grad[order[item.lo + i]];
+      g_total += node_grad[i];
     }
-    const double g_total = kernels::node_sum(node_grad.data(), n);
     const double h_total = static_cast<double>(n);
     const double leaf_value =
         -g_total / (h_total + params_.reg_lambda) * params_.learning_rate;
@@ -125,12 +126,11 @@ GradientBoostedTrees::Tree GradientBoostedTrees::build_tree(
       continue;
     }
 
-    // Histogram + best-bin scan of one feature, via the dispatched
-    // kernel (kernels::feature_scan — the scalar tier is the seed loop
-    // verbatim, the AVX2 tier is bit-identical to it). The
-    // within-feature strict `>` picks the first bin attaining the
-    // feature's max gain, so folding features in fixed order below
-    // reproduces the sequential first-feature-wins selection exactly.
+    // Histogram + best-bin scan of one feature (kernels::feature_scan,
+    // the seed loop verbatim). The within-feature strict `>` picks the
+    // first bin attaining the feature's max gain, so folding features in
+    // fixed order below reproduces the sequential first-feature-wins
+    // selection exactly.
     const kernels::FeatureScanParams scan_params{
         g_total,
         h_total,

@@ -9,12 +9,11 @@ namespace iotax::ml::kernels {
 namespace {
 
 // Resolved policy, packed into one atomic word: bit 0 = avx2 active,
-// bit 1 = fast math, bit 2 = resolved. refresh() clears the resolved
-// bit; the next query re-reads the environment.
+// bit 1 = resolved. refresh() clears the resolved bit; the next query
+// re-reads the environment.
 std::atomic<int> g_state{0};
 constexpr int kAvx2Bit = 1;
-constexpr int kFastBit = 2;
-constexpr int kResolvedBit = 4;
+constexpr int kResolvedBit = 2;
 
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
@@ -26,8 +25,6 @@ bool cpu_has_avx2() {
 
 int resolve() {
   int state = kResolvedBit;
-  const char* fast = std::getenv("IOTAX_FAST_MATH");
-  if (fast != nullptr && std::strcmp(fast, "1") == 0) state |= kFastBit;
   const char* policy = std::getenv("IOTAX_KERNELS");
   const bool want_avx2 =
       policy == nullptr || std::strcmp(policy, "auto") == 0 ||
@@ -47,8 +44,6 @@ int state() {
 Tier active_tier() {
   return (state() & kAvx2Bit) != 0 ? Tier::kAvx2 : Tier::kScalar;
 }
-
-bool fast_math() { return (state() & kFastBit) != 0; }
 
 bool avx2_compiled() {
 #if defined(IOTAX_KERNELS_AVX2)
@@ -75,8 +70,6 @@ std::string describe() {
   out += avx2_supported() ? "yes" : "no";
   out += " policy=";
   out += policy != nullptr ? policy : "auto";
-  out += " fast_math=";
-  out += fast_math() ? "on" : "off";
   out += ")";
   return out;
 }

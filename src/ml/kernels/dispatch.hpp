@@ -1,5 +1,6 @@
-// Runtime kernel dispatch for the SIMD hot paths (GBT histogram scan,
-// packed tree traversal, MLP GEMM).
+// Runtime kernel dispatch for the SIMD hot paths: packed tree
+// traversal and the MLP dense-layer kernels (forward, backward, Adam).
+// The GBT split scan has a single scalar tier and does not dispatch.
 //
 // Two tiers exist per kernel: a portable scalar implementation and an
 // AVX2 one. Selection is three-layered:
@@ -18,14 +19,13 @@
 //
 // Every AVX2 kernel is bit-identical to its scalar twin by construction:
 // lanes only ever carry *independent* accumulators (different rows,
-// different bins, different outputs), so no floating-point sum is ever
-// reassociated. The opt-in IOTAX_FAST_MATH=1 tier relaxes exactly that —
-// reassociated reductions and FMA contraction — and is validated by
-// tolerance tests instead of byte comparison.
+// different outputs, different parameters), every sum keeps the scalar
+// order of additions, and mul + add are never fused into FMA. There is
+// no tier that trades bits for speed.
 //
 // The resolved tier is cached in an atomic after the first query (one
 // relaxed load on the hot path). Tests and benches that flip the env
-// vars at runtime call refresh() afterwards.
+// var at runtime call refresh() afterwards.
 #pragma once
 
 #include <string>
@@ -37,26 +37,21 @@ enum class Tier { kScalar = 0, kAvx2 = 1 };
 /// The tier kernels dispatch on, per the policy above.
 Tier active_tier();
 
-/// True when the opt-in fast-math tier is on (IOTAX_FAST_MATH=1):
-/// kernels may reassociate reductions and contract mul+add into FMA.
-/// Off (the default) every kernel is bit-identical to scalar.
-bool fast_math();
-
 /// True when AVX2 variants were compiled into this binary.
 bool avx2_compiled();
 
 /// True when the running CPU reports AVX2 (always false on non-x86).
 bool avx2_supported();
 
-/// Re-read IOTAX_KERNELS / IOTAX_FAST_MATH from the environment. Needed
-/// only by tests/benches that setenv() mid-process.
+/// Re-read IOTAX_KERNELS from the environment. Needed only by
+/// tests/benches that setenv() mid-process.
 void refresh();
 
 /// "scalar" or "avx2".
 const char* tier_name(Tier tier);
 
 /// Human-readable dispatch summary for `iotax --version` and logs, e.g.
-/// "avx2 (compiled=yes cpu=yes policy=auto fast_math=off)".
+/// "avx2 (compiled=yes cpu=yes policy=auto)".
 std::string describe();
 
 }  // namespace iotax::ml::kernels

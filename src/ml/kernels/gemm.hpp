@@ -8,10 +8,8 @@
 // 4-row panel of the input transposed (panel[i*4 + lane] = in[r+lane][i])
 // so the inner product becomes contiguous vector loads, broadcasts one
 // weight at a time, and accumulates with separate mul + add — each SIMD
-// lane runs one row's scalar FP sequence unchanged, so the default tier
-// is bit-identical. Under IOTAX_FAST_MATH=1 the accumulate contracts to
-// FMA (when the CPU has it), which is faster and more accurate but not
-// bit-identical.
+// lane runs one row's scalar FP sequence unchanged, so the AVX2 tier is
+// bit-identical to the scalar one.
 //
 // dense_backward is the matching gradient step of a mini-batch. Every
 // element keeps the order of additions of a per-row backward pass that
@@ -25,7 +23,7 @@
 // skipped rather than added, since adding a signed zero could flip the
 // sign of a zero accumulator. Both tiers vectorize only across
 // independent elements (different i), so the AVX2 tier is bit-identical
-// to the scalar one; it never contracts to FMA.
+// to the scalar one.
 //
 // adam_update applies the optimizer step to one parameter array. Every
 // element is independent and each tier runs the same sequence of

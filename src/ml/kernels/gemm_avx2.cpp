@@ -5,15 +5,14 @@
 //
 // The forward is a 4-row × up-to-8-output register tile over a
 // transposed input panel: each SIMD lane carries one row's accumulator
-// and the reduction index i ascends exactly as in the scalar loop, so
-// with separate mul + add (the default) the result is bit-identical.
+// and the reduction index i ascends exactly as in the scalar loop, with
+// separate mul + add, so the result is bit-identical.
 // The backward vectorizes across the input index i, whose elements are
 // independent, and streams the nonzero delta terms through a tile of up
 // to 32 accumulators in the scalar reference's order.
 //
-// This TU is compiled with -mfma but also -ffp-contract=off: FMA is only
-// ever emitted through the explicit _mm256_fmadd_pd in the opt-in
-// fast-math forward.
+// This TU is compiled with -ffp-contract=off, so the compiler cannot
+// fuse a mul + add pair into an FMA.
 #if defined(IOTAX_KERNELS_AVX2)
 
 #include <immintrin.h>
@@ -21,7 +20,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/ml/kernels/dispatch.hpp"
 #include "src/ml/kernels/internal.hpp"
 #include "src/util/aligned.hpp"
 
@@ -32,14 +30,6 @@ namespace {
 // Widest tile, in vectors: 8 accumulators plus the broadcast and load
 // temporaries fit the 16 ymm registers.
 constexpr int kMaxTile = 8;
-
-bool cpu_has_fma() {
-#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
-  return __builtin_cpu_supports("fma") != 0;
-#else
-  return false;
-#endif
-}
 
 inline void store_lanes(__m256d acc, double* out, std::size_t stride) {
   alignas(32) double lanes[4];
@@ -54,32 +44,21 @@ inline void store_lanes(__m256d acc, double* out, std::size_t stride) {
 // consecutive outputs of a 4-row panel (panel[i*4 + lane]).
 template <int V>
 void forward_tile(const double* panel, std::size_t in_dim, const double* w,
-                  const double* bias, bool use_fma, double* out,
-                  std::size_t out_dim) {
+                  const double* bias, double* out, std::size_t out_dim) {
   __m256d acc[V];
   for (int v = 0; v < V; ++v) acc[v] = _mm256_set1_pd(bias[v]);
-  if (use_fma) {
-    for (std::size_t i = 0; i < in_dim; ++i) {
-      const __m256d p = _mm256_load_pd(panel + i * 4);
-      for (int v = 0; v < V; ++v) {
-        acc[v] = _mm256_fmadd_pd(_mm256_set1_pd(w[v * in_dim + i]), p,
-                                 acc[v]);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < in_dim; ++i) {
-      const __m256d p = _mm256_load_pd(panel + i * 4);
-      for (int v = 0; v < V; ++v) {
-        acc[v] = _mm256_add_pd(
-            acc[v], _mm256_mul_pd(_mm256_set1_pd(w[v * in_dim + i]), p));
-      }
+  for (std::size_t i = 0; i < in_dim; ++i) {
+    const __m256d p = _mm256_load_pd(panel + i * 4);
+    for (int v = 0; v < V; ++v) {
+      acc[v] = _mm256_add_pd(
+          acc[v], _mm256_mul_pd(_mm256_set1_pd(w[v * in_dim + i]), p));
     }
   }
   for (int v = 0; v < V; ++v) store_lanes(acc[v], out + v, out_dim);
 }
 
 using ForwardTile = void (*)(const double*, std::size_t, const double*,
-                             const double*, bool, double*, std::size_t);
+                             const double*, double*, std::size_t);
 constexpr ForwardTile kForwardTiles[kMaxTile + 1] = {
     nullptr,         forward_tile<1>, forward_tile<2>,
     forward_tile<3>, forward_tile<4>, forward_tile<5>,
@@ -136,7 +115,6 @@ constexpr AccumulateTile kAccumulateTiles[kMaxTile + 1] = {
 void dense_forward(const double* in, std::size_t n_rows, std::size_t in_dim,
                    const double* w, const double* bias, std::size_t out_dim,
                    double* out) {
-  const bool use_fma = fast_math() && cpu_has_fma();
   // Pool workers are long-lived; the panel grows to the widest layer
   // seen and stays.
   static thread_local util::aligned_vector<double> panel;
@@ -156,7 +134,7 @@ void dense_forward(const double* in, std::size_t n_rows, std::size_t in_dim,
     for (std::size_t o = 0; o < out_dim; o += kMaxTile) {
       const std::size_t v = std::min<std::size_t>(kMaxTile, out_dim - o);
       kForwardTiles[v](panel.data(), in_dim, w + o * in_dim, bias + o,
-                       use_fma, orow + o, out_dim);
+                       orow + o, out_dim);
     }
   }
   // Row remainder: the scalar reference loop.

@@ -2,21 +2,12 @@
 
 #include <vector>
 
-#include "src/ml/kernels/dispatch.hpp"
-#include "src/ml/kernels/internal.hpp"
-
 namespace iotax::ml::kernels {
 
-namespace {
-
-// Literal transcription of the seed's scan_feature loop (gbt.cpp): the
-// scalar tier is the reference the AVX2 tier must match bit for bit.
-// Scratch lives here (one histogram pair per thread) and is fully
-// re-zeroed on entry, exactly like the seed.
-SplitScan feature_scan_scalar(const std::uint16_t* col,
-                              const std::size_t* order, std::size_t n,
-                              const double* node_grad, std::size_t bins,
-                              const FeatureScanParams& p) {
+SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
+                       std::size_t n, const double* node_grad,
+                       std::size_t bins, const FeatureScanParams& p) {
+  if (bins < 2) return {};
   static thread_local std::vector<double> hg_buf;
   static thread_local std::vector<double> hc_buf;
   if (hg_buf.size() < bins) {
@@ -54,36 +45,6 @@ SplitScan feature_scan_scalar(const std::uint16_t* col,
     }
   }
   return cand;
-}
-
-double node_sum_scalar(const double* v, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += v[i];
-  return acc;
-}
-
-}  // namespace
-
-SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
-                       std::size_t n, const double* node_grad,
-                       std::size_t bins, const FeatureScanParams& p) {
-  if (bins < 2) return {};
-#if defined(IOTAX_KERNELS_AVX2)
-  if (active_tier() == Tier::kAvx2) {
-    return avx2::feature_scan(col, order, n, node_grad, bins, p);
-  }
-#endif
-  return feature_scan_scalar(col, order, n, node_grad, bins, p);
-}
-
-double node_sum(const double* v, std::size_t n) {
-#if defined(IOTAX_KERNELS_AVX2)
-  // Only the opt-in fast-math tier may reassociate a reduction.
-  if (fast_math() && active_tier() == Tier::kAvx2) {
-    return avx2::node_sum_lanes(v, n);
-  }
-#endif
-  return node_sum_scalar(v, n);
 }
 
 }  // namespace iotax::ml::kernels

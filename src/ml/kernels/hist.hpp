@@ -1,33 +1,16 @@
-// GBT split-finding kernels: per-feature histogram accumulation plus the
+// GBT split finding: per-feature histogram accumulation plus the
 // best-bin gain sweep, over BinnedMatrix bin codes.
 //
 // feature_scan() is the per-(node, feature) unit of work in
 // GradientBoostedTrees::build_tree: accumulate the node's gradient sum
-// and row count into per-bin histograms, then sweep bins left-to-right
-// for the best split. Both tiers reproduce the seed loop exactly:
+// and row count into per-bin histograms, then sweep bins left to right
+// for the best split. It is the seed's scan loop: histogram adds run in
+// ascending row order, the sweep's prefix sums are sequential, and the
+// strict `>` argmax keeps the first bin attaining the best gain.
 //
-//   * histogram adds happen in ascending row order, so every bin's
-//     gradient sum sees the same FP addition sequence as the scalar
-//     loop (adds to distinct bins commute trivially — they are separate
-//     accumulators);
-//   * the sweep's prefix sums stay sequential; only the per-bin gain
-//     arithmetic (mul/div/sub — all elementwise, IEEE-exact) is
-//     vectorized, and the strict-> first-bin-wins argmax runs serially.
-//
-// The histogram workspaces are owned by the kernel layer (per-thread,
-// per-tier), not passed in: the AVX2 tier keeps its scratch all-zero
-// between calls and re-zeroes only the bins a scan touched, so the cost
-// of a scan scales with the node's touched-bin range instead of the
-// full bin count. Untouched bins can also be skipped in the sweep
-// without changing any output bit: an empty bin leaves the running
-// left-sums unchanged, so its gain duplicates the previous bin's and
-// can never win the strict `>` argmax; bins below the first touched bin
-// all see the all-empty prefix, so they collapse to a single evaluation
-// of the seed loop body at bin 0.
-//
-// node_sum() is the node gradient total. By default it is the plain
-// sequential sum; under IOTAX_FAST_MATH=1 it reassociates into SIMD
-// lanes (tolerance-gated, not bit-identical).
+// The scan has no AVX2 tier and does not dispatch: a vectorized sweep
+// measured 1.10x as a microbenchmark and moved no end-to-end metric
+// (EXPERIMENTS.md).
 #pragma once
 
 #include <cstddef>
@@ -58,14 +41,10 @@ struct SplitScan {
 ///   node_grad gradient gathered per node row (node_grad[i] pairs with
 ///             order[i]), length n
 ///   bins      n_bins for this feature (>= 2)
-/// Histogram scratch is kernel-owned (thread-local per tier); callers
-/// pass no workspace.
+/// Histogram scratch is one thread-local pair, re-zeroed on entry;
+/// callers pass no workspace.
 SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
                        std::size_t n, const double* node_grad,
                        std::size_t bins, const FeatureScanParams& p);
-
-/// Sum of v[0..n): sequential by default; under fast_math, SIMD-lane
-/// accumulation reduced in fixed lane order (reassociated).
-double node_sum(const double* v, std::size_t n);
 
 }  // namespace iotax::ml::kernels

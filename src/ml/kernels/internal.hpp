@@ -11,7 +11,6 @@
 
 #include "src/ml/kernels/forest.hpp"
 #include "src/ml/kernels/gemm.hpp"
-#include "src/ml/kernels/hist.hpp"
 
 namespace iotax::ml::kernels {
 
@@ -34,12 +33,6 @@ inline void adam_element(const AdamStep& s, bool decay, double g_sum,
 }  // namespace iotax::ml::kernels
 
 namespace iotax::ml::kernels::avx2 {
-
-SplitScan feature_scan(const std::uint16_t* col, const std::size_t* order,
-                       std::size_t n, const double* node_grad,
-                       std::size_t bins, const FeatureScanParams& p);
-
-double node_sum_lanes(const double* v, std::size_t n);
 
 // Forest traversal over rows [0, n_rows) for trees [t_begin, t_end).
 void forest_codes(const ForestView& f, std::size_t t_begin, std::size_t t_end,

@@ -279,13 +279,25 @@ void Supervisor::stop_spawned_locked() {
 
 void Supervisor::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  if (stopping_.exchange(true)) {
+  bool already_stopping;
+  {
+    // Set under mu_: the monitor re-checks the flag under mu_ before it
+    // spawns a shard or counts an exit or a hang.
+    std::lock_guard<std::mutex> lock(mu_);
+    already_stopping = stopping_.exchange(true);
+  }
+  if (already_stopping) {
     while (running_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return;
   }
+  // The monitor drains every shard before it exits (drain_shards).
   if (monitor_.joinable()) monitor_.join();
+  running_.store(false, std::memory_order_release);
+}
+
+void Supervisor::drain_shards() {
   std::lock_guard<std::mutex> lock(mu_);
   // Graceful first: SIGTERM lets each shard drain admitted requests.
   for (auto& shard : shards_) {
@@ -307,7 +319,6 @@ void Supervisor::stop() {
     shard.pid = -1;
     ::unlink(shard.ready_file.c_str());
   }
-  running_.store(false, std::memory_order_release);
 }
 
 bool Supervisor::signal_shard(std::size_t group, std::size_t replica,
@@ -360,78 +371,89 @@ void Supervisor::shard_down(Shard& shard, const char* why) {
 
 void Supervisor::monitor_loop() {
   std::uint64_t ping_id = 0x91a6'0000'0000'0000ULL;
+  std::size_t n_shards;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    n_shards = shards_.size();
+  }
   while (!stopping_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.health_interval_ms));
-    const std::size_t n_shards = [this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      return shards_.size();
-    }();
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      // Snapshot under the lock; the slow work (ping, reap) happens
-      // outside it so chaos signals and stats reads never stall behind
-      // a health probe. Only this thread mutates shard state, so the
-      // snapshot cannot go stale in between.
-      ShardState state;
-      pid_t pid;
-      Endpoint endpoint;
-      bool ready_seen;
-      std::string ready_file;
-      std::chrono::steady_clock::time_point next_restart;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        Shard& s = shards_[i];
-        state = s.state;
-        pid = s.pid;
-        endpoint = s.endpoint;
-        ready_seen = s.ready_seen;
-        ready_file = s.ready_file;
-        next_restart = s.next_restart;
-      }
-      if (state == ShardState::kFailed) continue;
-      if (state == ShardState::kRestarting) {
-        if (std::chrono::steady_clock::now() >= next_restart) {
-          std::lock_guard<std::mutex> lock(mu_);
-          spawn(shards_[i]);
-          n_restarts_.fetch_add(1, std::memory_order_relaxed);
-          IOTAX_OBS_COUNT("fleet.restarts", 1);
-        }
-        continue;
-      }
-      // kUp: did it die on its own?
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        n_exits_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.exits", 1);
-        std::lock_guard<std::mutex> lock(mu_);
-        shard_down(shards_[i], "exited");
-        continue;
-      }
-      if (!ready_seen) {
-        // Freshly (re)spawned: no health verdict until the listeners
-        // are up, or a crash-during-startup would read as a hang.
-        if (file_exists(ready_file)) {
-          std::lock_guard<std::mutex> lock(mu_);
-          shards_[i].ready_seen = true;
-          shards_[i].backoff_step = 0;  // it came back; restart the ladder
-        }
-        continue;
-      }
-      if (!ping_endpoint(endpoint, config_.health_timeout_ms, ++ping_id)) {
-        // Alive but silent past the deadline: hung (e.g. SIGSTOP, dead-
-        // locked). SIGKILL works even on a stopped process; the reap
-        // below turns it into an ordinary restart.
-        if (::kill(pid, 0) != 0) continue;  // raced an exit; next tick reaps
-        n_hangs_.fetch_add(1, std::memory_order_relaxed);
-        IOTAX_OBS_COUNT("fleet.hangs", 1);
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-        std::lock_guard<std::mutex> lock(mu_);
-        shard_down(shards_[i], "hung");
-      }
+    for (std::size_t i = 0;
+         i < n_shards && !stopping_.load(std::memory_order_acquire); ++i) {
+      check_shard(i, ping_id);
     }
   }
+  // Restarted shards were forked by this thread, and PR_SET_PDEATHSIG
+  // SIGKILLs them when it ends: they must be drained from here.
+  drain_shards();
+}
+
+void Supervisor::check_shard(std::size_t i, std::uint64_t& ping_id) {
+  // Snapshot under the lock; the slow work (ping, reap) happens outside
+  // it so chaos signals and stats reads never stall behind a health
+  // probe. Only this thread mutates shard state, so the snapshot cannot
+  // go stale in between. Every mutation re-checks stopping_ under the
+  // lock: once stop() has begun, nothing is spawned or counted.
+  ShardState state;
+  pid_t pid;
+  Endpoint endpoint;
+  bool ready_seen;
+  std::string ready_file;
+  std::chrono::steady_clock::time_point next_restart;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const Shard& s = shards_[i];
+    state = s.state;
+    pid = s.pid;
+    endpoint = s.endpoint;
+    ready_seen = s.ready_seen;
+    ready_file = s.ready_file;
+    next_restart = s.next_restart;
+  }
+  if (state == ShardState::kFailed) return;
+  if (state == ShardState::kRestarting) {
+    if (std::chrono::steady_clock::now() < next_restart) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_.load(std::memory_order_acquire)) return;
+    spawn(shards_[i]);
+    n_restarts_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.restarts", 1);
+    return;
+  }
+  // kUp: did it die on its own?
+  int status = 0;
+  if (::waitpid(pid, &status, WNOHANG) == pid) {
+    std::lock_guard<std::mutex> lock(mu_);
+    shards_[i].pid = -1;  // reaped; the drain must not wait for it
+    if (stopping_.load(std::memory_order_acquire)) return;
+    n_exits_.fetch_add(1, std::memory_order_relaxed);
+    IOTAX_OBS_COUNT("fleet.exits", 1);
+    shard_down(shards_[i], "exited");
+    return;
+  }
+  if (!ready_seen) {
+    // Freshly (re)spawned: no health verdict until the listeners are
+    // up, or a crash-during-startup would read as a hang.
+    if (file_exists(ready_file)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      shards_[i].ready_seen = true;
+      shards_[i].backoff_step = 0;  // it came back; restart the ladder
+    }
+    return;
+  }
+  if (ping_endpoint(endpoint, config_.health_timeout_ms, ++ping_id)) return;
+  // Alive but silent past the deadline: hung (e.g. SIGSTOP, deadlocked).
+  // SIGKILL works even on a stopped process; the reap turns it into an
+  // ordinary restart.
+  if (::kill(pid, 0) != 0) return;  // raced an exit; next tick reaps
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stopping_.load(std::memory_order_acquire)) return;
+  n_hangs_.fetch_add(1, std::memory_order_relaxed);
+  IOTAX_OBS_COUNT("fleet.hangs", 1);
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
+  shard_down(shards_[i], "hung");
 }
 
 // ---------------------------------------------------------------------------

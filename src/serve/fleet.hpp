@@ -117,7 +117,8 @@ class Supervisor {
   /// spawn deadline passes — the fleet refuses to start degraded.
   void start();
 
-  /// SIGTERM every shard, reap them, join the monitor. Idempotent.
+  /// Stop the monitor, which SIGTERMs every shard and reaps it (SIGKILL
+  /// after 10 s) before it exits; returns once that is done. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -161,6 +162,11 @@ class Supervisor {
   /// fork failure; exec failure surfaces as an immediate child exit.
   void spawn(Shard& shard);
   void monitor_loop();
+  /// One health step for shards_[i]: restart, reap, readiness, ping.
+  void check_shard(std::size_t i, std::uint64_t& ping_id);
+  /// SIGTERM every live shard and reap it; runs on the monitor thread,
+  /// which forked every restarted shard (see monitor_loop).
+  void drain_shards();
   /// Death/hang bookkeeping: schedule a restart or mark failed.
   void shard_down(Shard& shard, const char* why);
   /// SIGKILL and reap everything spawned so far (startup-failure path).

@@ -137,7 +137,10 @@ TEST(DriftMonitor, EndToEndOnSimulatedDeployment) {
   const auto train_rows = ds.rows_in_window(0.0, res.train_cutoff_time);
   const std::vector<taxonomy::FeatureSet> feats = {
       taxonomy::FeatureSet::kPosix};
-  ml::GradientBoostedTrees model({.n_estimators = 60, .max_depth = 6});
+  ml::GbtParams model_params;
+  model_params.n_estimators = 60;
+  model_params.max_depth = 6;
+  ml::GradientBoostedTrees model(model_params);
   model.fit(taxonomy::feature_matrix(ds, feats, train_rows),
             taxonomy::targets(ds, train_rows));
 

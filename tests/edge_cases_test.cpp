@@ -47,7 +47,9 @@ TEST(EdgeCases, GbtOnConstantTarget) {
     x(i, 1) = rng.normal();
   }
   const std::vector<double> y(50, 2.5);
-  ml::GradientBoostedTrees model({.n_estimators = 10});
+  ml::GbtParams model_params;
+  model_params.n_estimators = 10;
+  ml::GradientBoostedTrees model(model_params);
   model.fit(x, y);
   for (const double p : model.predict(x)) EXPECT_NEAR(p, 2.5, 1e-9);
   // Importances are all zero (no split ever gains) and stay normalisable.
@@ -61,7 +63,9 @@ TEST(EdgeCases, GbtOnConstantFeatures) {
   std::vector<double> y(60);
   util::Rng rng(2);
   for (auto& v : y) v = rng.normal(5.0, 1.0);
-  ml::GradientBoostedTrees model({.n_estimators = 5});
+  ml::GbtParams model_params;
+  model_params.n_estimators = 5;
+  ml::GradientBoostedTrees model(model_params);
   model.fit(x, y);
   const auto pred = model.predict(x);
   // Nothing to split on: every prediction equals the target mean.

@@ -208,7 +208,10 @@ TEST(ReportIo, SummaryLineContainsKeyNumbers) {
 
 TEST(Interpret, RankedImportancesSortedAndNamed) {
   const auto d = noisy_data(800, 10);
-  ml::GradientBoostedTrees model({.n_estimators = 40, .max_depth = 4});
+  ml::GbtParams model_params;
+  model_params.n_estimators = 40;
+  model_params.max_depth = 4;
+  ml::GradientBoostedTrees model(model_params);
   model.fit(d.x, d.y);
   const auto ranked = taxonomy::ranked_importances(
       model, {"POSIX_BYTES_READ", "POSIX_SEQ_READS", "LMT_OSS_CPU_MEAN"});

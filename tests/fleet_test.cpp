@@ -3,7 +3,7 @@
 // to end over static replica groups of live and misbehaving shards —
 // retry, BUSY back-off, failover and kDegraded per request, pipelined
 // batches, late replies, drop/delay chaos, and bit-identity to offline
-// predictions throughout.
+// predictions throughout; and the supervisor over exec'd shard daemons.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -1120,6 +1122,52 @@ TEST_F(FleetTest, RouterThreadCountIsFlatInConnections) {
   shard.stop();
   EXPECT_EQ(router.stats().connections, kClients + 1);
   EXPECT_EQ(shard.stats().connections, 1u);
+}
+
+// A shard restarted after a crash is forked by the monitor thread, and
+// PR_SET_PDEATHSIG ties its life to that thread. stop() must still
+// drain it with SIGTERM instead of letting the monitor's exit SIGKILL it.
+TEST_F(FleetTest, SupervisorDrainsARestartedShardOnStop) {
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "fleet_sup_" +
+                          std::to_string(::getpid());
+  fs::create_directories(dir);
+  serve::SupervisorConfig cfg;
+  cfg.iotax_bin = IOTAX_CLI_PATH;
+  cfg.model_files = {model_path_};
+  cfg.shard_dir = dir;
+  cfg.n_groups = 1;
+  cfg.n_replicas = 1;
+  cfg.health_interval_ms = 10;
+  cfg.restart_backoff = {/*initial_ms=*/1, /*max_ms=*/1, /*multiplier=*/1.0,
+                         /*jitter=*/0.0};
+  serve::Supervisor sup(cfg);
+  sup.start();
+  ASSERT_TRUE(sup.signal_shard(0, 0, SIGKILL));
+  // Restarted and serving again: spawn() removes the ready file, the new
+  // shard writes it once its listener is up.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (sup.stats().restarts < 1 || !fs::exists(dir + "/g0r0.ready")) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "shard was not restarted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  sup.stop();
+  EXPECT_EQ(sup.stats().exits_detected, 1u);
+  EXPECT_EQ(sup.stats().restarts, 1u);
+  // One log for both lives: the SIGKILLed first shard never drains, so
+  // the one drain line is the restarted shard's.
+  std::ifstream log(dir + "/g0r0.log");
+  const std::string text((std::istreambuf_iterator<char>(log)),
+                         std::istreambuf_iterator<char>());
+  std::size_t drains = 0;
+  for (std::size_t at = text.find("serve: drained");
+       at != std::string::npos; at = text.find("serve: drained", at + 1)) {
+    ++drains;
+  }
+  EXPECT_EQ(drains, 1u) << text;
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -206,9 +206,11 @@ TEST(Gbt, LearnsNonlinearInteraction) {
 
 TEST(Gbt, BeatsLinearOnInteractions) {
   const auto prob = make_problem(2000, 500, 0.05, 4);
-  ml::GradientBoostedTrees gbt({.n_estimators = 120,
-                                .max_depth = 4,
-                                .learning_rate = 0.15});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 120;
+  gbt_params.max_depth = 4;
+  gbt_params.learning_rate = 0.15;
+  ml::GradientBoostedTrees gbt(gbt_params);
   gbt.fit(prob.x_train, prob.y_train);
   ml::LinearRegressor lin(1.0);
   lin.fit(prob.x_train, prob.y_train);
@@ -233,8 +235,14 @@ TEST(Gbt, DeterministicForSameSeed) {
 
 TEST(Gbt, MoreTreesReduceTrainError) {
   const auto prob = make_problem(1000, 100, 0.02, 6);
-  ml::GradientBoostedTrees small({.n_estimators = 5, .max_depth = 3});
-  ml::GradientBoostedTrees large({.n_estimators = 80, .max_depth = 3});
+  ml::GbtParams small_params;
+  small_params.n_estimators = 5;
+  small_params.max_depth = 3;
+  ml::GradientBoostedTrees small(small_params);
+  ml::GbtParams large_params;
+  large_params.n_estimators = 80;
+  large_params.max_depth = 3;
+  ml::GradientBoostedTrees large(large_params);
   small.fit(prob.x_train, prob.y_train);
   large.fit(prob.x_train, prob.y_train);
   EXPECT_LT(ml::rmse_log(prob.y_train, large.predict(prob.x_train)),
@@ -243,7 +251,10 @@ TEST(Gbt, MoreTreesReduceTrainError) {
 
 TEST(Gbt, IrrelevantFeatureGetsLowImportance) {
   const auto prob = make_problem(2000, 100, 0.02, 7);
-  ml::GradientBoostedTrees gbt({.n_estimators = 60, .max_depth = 4});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 60;
+  gbt_params.max_depth = 4;
+  ml::GradientBoostedTrees gbt(gbt_params);
   gbt.fit(prob.x_train, prob.y_train);
   const auto imp = gbt.feature_importances();
   ASSERT_EQ(imp.size(), 3u);
@@ -255,18 +266,22 @@ TEST(Gbt, IrrelevantFeatureGetsLowImportance) {
 
 TEST(Gbt, SubsampleAndColsampleStillLearn) {
   const auto prob = make_problem(2000, 400, 0.05, 8);
-  ml::GradientBoostedTrees gbt({.n_estimators = 150,
-                                .max_depth = 4,
-                                .learning_rate = 0.1,
-                                .subsample = 0.6,
-                                .colsample = 0.7});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 150;
+  gbt_params.max_depth = 4;
+  gbt_params.learning_rate = 0.1;
+  gbt_params.subsample = 0.6;
+  gbt_params.colsample = 0.7;
+  ml::GradientBoostedTrees gbt(gbt_params);
   gbt.fit(prob.x_train, prob.y_train);
   EXPECT_LT(ml::rmse_log(prob.y_test, gbt.predict(prob.x_test)), 0.25);
 }
 
 TEST(Gbt, PredictRejectsWrongWidth) {
   const auto prob = make_problem(200, 10, 0.05, 9);
-  ml::GradientBoostedTrees gbt({.n_estimators = 5});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 5;
+  ml::GradientBoostedTrees gbt(gbt_params);
   gbt.fit(prob.x_train, prob.y_train);
   EXPECT_THROW(gbt.predict(data::Matrix(3, 7)), std::invalid_argument);
   ml::GradientBoostedTrees unfitted;

@@ -271,30 +271,5 @@ TEST(MlpGolden, ContinuationMatchesColdFit) {
   }
 }
 
-// IOTAX_FAST_MATH=1 lets the AVX2 forward contract to FMA, in training
-// as in inference, so its checkpoints are not pinned; the fitted model
-// must still predict what the default tier's does, within the forward
-// kernel's fast-math tolerance. Both models predict on the default tier
-// so any difference comes from training.
-TEST(MlpGolden, FastMathTrainingWithinTolerance) {
-  ScopedKernels tier("avx2");
-  for (const MlpCase& c : mlp_cases()) {
-    if (c.rows < 4 || c.batch_size < 4) continue;  // no 4-row panel, no FMA
-    const Data d = make_data(c.rows, 101);
-    const std::vector<double> ref = fit_case(c, 3).predict(d.x);
-    ::setenv("IOTAX_FAST_MATH", "1", 1);
-    kn::refresh();
-    const ml::Mlp fast_model = fit_case(c, 3);
-    ::unsetenv("IOTAX_FAST_MATH");
-    kn::refresh();
-    const std::vector<double> fast = fast_model.predict(d.x);
-    ASSERT_EQ(fast.size(), ref.size());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_NEAR(fast[k], ref[k], 1e-9 * std::abs(ref[k]) + 1e-12)
-          << "case=" << c.name << " row=" << k;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace iotax

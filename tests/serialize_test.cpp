@@ -74,7 +74,10 @@ TEST(GbtSerialize, LoadRejectsWrongVersion) {
 
 TEST(GbtSerialize, LoadDetectsOutOfRangeNodes) {
   const auto train = make_data(200, 3);
-  ml::GradientBoostedTrees model({.n_estimators = 3, .max_depth = 3});
+  ml::GbtParams model_params;
+  model_params.n_estimators = 3;
+  model_params.max_depth = 3;
+  ml::GradientBoostedTrees model(model_params);
   model.fit(train.x, train.y);
   std::stringstream buf;
   model.save(buf);
@@ -213,7 +216,10 @@ TEST(UnifiedLoad, DispatchesOnMagicToken) {
   linear.fit(train.x, train.y);
   round_trip(linear);
 
-  ml::GradientBoostedTrees gbt({.n_estimators = 5, .max_depth = 3});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 5;
+  gbt_params.max_depth = 3;
+  ml::GradientBoostedTrees gbt(gbt_params);
   gbt.fit(train.x, train.y);
   round_trip(gbt);
 

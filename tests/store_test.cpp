@@ -234,7 +234,10 @@ TEST(ColumnStore, GbtAndHalvingBitIdenticalThroughStore) {
     const auto xv = taxonomy::feature_view(d, feats, &vc, &vr, val_rows);
     const auto yt = taxonomy::targets(d, train_rows);
     const auto yv = taxonomy::targets(d, val_rows);
-    ml::GradientBoostedTrees model({.n_estimators = 24, .max_depth = 5});
+    ml::GbtParams model_params;
+    model_params.n_estimators = 24;
+    model_params.max_depth = 5;
+    ml::GradientBoostedTrees model(model_params);
     model.fit(xt, yt);
     ml::GbtGrid grid;
     grid.n_estimators = {8, 16};

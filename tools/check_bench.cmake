@@ -5,8 +5,8 @@
 #         [-DBYTES_TOL=0.10] [-DWALL_TOL=1.5] -P check_bench.cmake
 # or, for the SIMD kernel A/B report (bench_perf_kernels --kernels_ab):
 #   cmake -DKIND=kernels -DCURRENT=<BENCH_kernels.json> \
-#         -DBASELINE=<baseline.json> [-DMIN_SPEEDUP_HIST=1.05] \
-#         [-DMIN_SPEEDUP_TRAVERSAL=1.2] [-DMIN_SPEEDUP_GEMM=1.2] \
+#         -DBASELINE=<baseline.json> [-DMIN_SPEEDUP_TRAVERSAL=1.2] \
+#         [-DMIN_SPEEDUP_GEMM=1.2] [-DMIN_SPEEDUP_DENSE_BACKWARD=1.5] \
 #         -P check_bench.cmake
 #
 # KIND=pipeline (the default) gates:
@@ -127,18 +127,18 @@ if(KIND STREQUAL "kernels")
     message(STATUS "check_bench: PASS")
     return()
   endif()
-  if(NOT DEFINED MIN_SPEEDUP_HIST)
-    set(MIN_SPEEDUP_HIST 1.05)
-  endif()
   if(NOT DEFINED MIN_SPEEDUP_TRAVERSAL)
     set(MIN_SPEEDUP_TRAVERSAL 1.2)
   endif()
   if(NOT DEFINED MIN_SPEEDUP_GEMM)
     set(MIN_SPEEDUP_GEMM 1.2)
   endif()
-  foreach(pair "hist;${MIN_SPEEDUP_HIST}"
-               "traversal;${MIN_SPEEDUP_TRAVERSAL}"
-               "gemm;${MIN_SPEEDUP_GEMM}")
+  if(NOT DEFINED MIN_SPEEDUP_DENSE_BACKWARD)
+    set(MIN_SPEEDUP_DENSE_BACKWARD 1.5)
+  endif()
+  foreach(pair "traversal;${MIN_SPEEDUP_TRAVERSAL}"
+               "gemm;${MIN_SPEEDUP_GEMM}"
+               "dense_backward;${MIN_SPEEDUP_DENSE_BACKWARD}")
     list(GET pair 0 kernel)
     list(GET pair 1 floor)
     get_field(speedup "${current_json}" ${kernel} t1 speedup)

@@ -568,7 +568,10 @@ int cmd_drift(const cli::Args& args) {
 
   const std::vector<taxonomy::FeatureSet> feats = {
       taxonomy::FeatureSet::kPosix, taxonomy::FeatureSet::kMpiio};
-  ml::GradientBoostedTrees model({.n_estimators = 96, .max_depth = 8});
+  ml::GbtParams gbt_params;
+  gbt_params.n_estimators = 96;
+  gbt_params.max_depth = 8;
+  ml::GradientBoostedTrees model(gbt_params);
   std::vector<std::size_t> fc, fr, wc, wr;
   model.fit(taxonomy::feature_view(ds, feats, &fc, &fr, fit_rows),
             taxonomy::targets(ds, fit_rows));
