@@ -17,7 +17,6 @@
 #include <cstring>
 #include <deque>
 #include <optional>
-#include <queue>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -480,15 +479,17 @@ using Ms = std::chrono::milliseconds;
 
 /// Start a non-blocking connect; -1 with *why on failure. A TCP
 /// handshake may still be running: writes wait for it (EAGAIN), and a
-/// refusal surfaces as a read error.
+/// refusal surfaces as a read error. Router::start() has checked that a
+/// unix path fits sun_path.
 int connect_nonblocking(const Endpoint& ep, std::string* why) {
   sockaddr_un un{};
   sockaddr_in in{};
   sockaddr* addr = reinterpret_cast<sockaddr*>(&un);
   socklen_t len = sizeof(un);
   un.sun_family = AF_UNIX;
-  std::strncpy(un.sun_path, ep.path.c_str(), sizeof(un.sun_path) - 1);
-  if (ep.kind == Endpoint::Kind::kTcp) {
+  if (ep.kind == Endpoint::Kind::kUnix) {
+    std::memcpy(un.sun_path, ep.path.c_str(), ep.path.size() + 1);
+  } else {
     addr = reinterpret_cast<sockaddr*>(&in);
     len = sizeof(in);
     in.sin_family = AF_INET;
@@ -508,62 +509,43 @@ int connect_nonblocking(const Endpoint& ep, std::string* why) {
   return -1;
 }
 
-/// One send() of as much of `out` as the socket takes; false when the
-/// connection is broken.
-bool send_some(int fd, std::string* out) {
-  const ssize_t n =
-      ::send(fd, out->data(), out->size(), MSG_NOSIGNAL | MSG_DONTWAIT);
-  if (n >= 0) out->erase(0, static_cast<std::size_t>(n));
-  return n >= 0 || errno == EAGAIN || errno == EINTR;
-}
-
 std::string_view as_chars(std::span<const std::uint8_t> bytes) {
   return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 }  // namespace
 
-/// The router's event loop. One thread owns every front connection and
-/// one backhaul connection per replica. A forwarded request carries a
-/// router-assigned id on the backhaul, and `pending` maps that id back
-/// to the front session and the client's own id. Each request is a
-/// small state machine: on the wire under a try deadline, or waiting on
-/// a timer (retry back-off, chaos delay) for its next try.
-struct Router::Loop {
+/// The router's request, backhaul and retry logic, run by the shared
+/// EventLoop that owns the front connections. One thread serves every
+/// client and one backhaul connection per replica. A forwarded request
+/// carries a router-assigned id on the backhaul, and `pending` maps that
+/// id back to the front connection and the client's own id. Each request
+/// is a small state machine: on the wire under a try deadline, or
+/// waiting on a timer (retry back-off, chaos delay) for its next try.
+struct Router::Loop : EventLoop::Handler {
   static constexpr std::size_t kNone = ~std::size_t{0};
-  static constexpr std::uint64_t kIdMask = (1ULL << 56) - 1;
-  /// Stop reading a client whose unsent replies pile up past this.
-  static constexpr std::size_t kMaxFrontOut = 1 << 20;
+  /// A timer token with this bit ends a connection's chaos accept
+  /// delay; any other token is a request id.
+  static constexpr std::uint64_t kAcceptDelay = 1ULL << 63;
   /// Why a try ended without an answer the client may see.
   enum class Failure { kTimeout, kReset, kShuttingDown, kBusy, kDrop };
-  /// An epoll event's high byte says what its fd is; the rest is an id.
-  enum Tag : std::uint64_t { kListener = 1, kFront, kBack };
 
-  struct Conn {
+  struct Backhaul {
     int fd = -1;
     util::FrameReader in;
     std::string out;
     std::uint32_t events = 0;  // epoll interest registered now
     bool dirty = false;        // output queued during this wake-up
-  };
-  struct Session : Conn {
-    std::size_t pending = 0;          // admitted, not yet answered
-    std::vector<std::size_t> prefer;  // replica per group; follows failover
-    bool reading = false;  // off until the accept delay, and after EOF
-    bool eof = false;
-    bool blocked = false;  // waits for a backhaul below max_inflight
-  };
-  struct Backhaul : Conn {
     Endpoint endpoint;
     std::size_t outstanding = 0;
     /// (request id, try deadline) in send order. Every try gets the same
     /// timeout, so the front holds the earliest deadline; tries that
     /// ended otherwise are skipped when they reach the front.
     std::deque<std::pair<std::uint64_t, Clock::time_point>> tries;
-    std::vector<std::uint64_t> blocked;  // sessions paused on this one
+    std::vector<std::uint64_t> blocked;  // connections paused on this one
   };
   struct Request {
-    std::uint64_t session = 0;
+    std::uint64_t conn = 0;
     std::uint64_t client_id = 0;
     std::string frame;  // as the client sent it; the id is patched per try
     std::size_t group = 0;
@@ -575,31 +557,22 @@ struct Router::Loop {
     Reason last_reason = Reason::kDeadlineExpired;
     std::string last_detail = "no attempt completed";
   };
-  /// When a request's next try is due, or (id tag(kFront, session))
-  /// when a session's chaos accept delay ends.
-  using Timer = std::pair<Clock::time_point, std::uint64_t>;
 
   Router& router;
   const RouterConfig& config;
   const std::size_t max_inflight;
   std::vector<std::size_t> first_backhaul;  // per group
-  int ep = -1;
-  std::atomic<bool> stop_requested{false};  // polled at least every 100 ms
-  bool draining = false;
-  Clock::time_point now = Clock::now();
-  Clock::time_point drain_until;
-
-  std::unordered_map<std::uint64_t, Session> sessions;
   std::vector<Backhaul> backhauls;
   std::unordered_map<std::uint64_t, Request> pending;  // by backhaul id
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
-  std::vector<std::uint64_t> dirty;   // tags of connections with output
-  std::vector<std::uint64_t> resume;  // unblocked sessions to re-parse
-  std::uint64_t next_session = 0;
+  /// Per front connection: its replica in each group; follows failover.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> prefer;
+  std::vector<std::size_t> dirty;     // backhauls with output
+  std::vector<std::uint64_t> resume;  // unblocked connections to re-parse
   std::uint64_t next_id = 0;
   std::size_t chaos_cursor = 0;
   util::Rng rng;
   PredictRequest decoded;  // reused across frames
+  EventLoop loop;          // last: its thread uses everything above
 
   explicit Loop(Router& r)
       : router(r),
@@ -607,51 +580,23 @@ struct Router::Loop {
         max_inflight(r.config_.supervisor != nullptr
                          ? r.config_.supervisor->config().max_inflight
                          : ServeConfig{}.max_inflight),
-        rng(r.config_.seed ^ r.config_.chaos.seed) {
+        rng(r.config_.seed ^ r.config_.chaos.seed),
+        // Drain until every admitted request's deadline could have held.
+        loop(*this, r.config_.unix_socket, r.config_.tcp_port, "fleet",
+             Ms(r.config_.deadline_ms + r.config_.try_timeout_ms + 1000)) {
     for (const auto& group : router.groups_) {
       first_backhaul.push_back(backhauls.size());
       for (const auto& endpoint : group) {
         backhauls.emplace_back().endpoint = endpoint;
       }
     }
-    ep = ::epoll_create1(EPOLL_CLOEXEC);
-    if (ep < 0) throw std::runtime_error("fleet: epoll_create1 failed");
-    for (const int fd : {router.listeners_.unix_fd, router.listeners_.tcp_fd}) {
-      if (fd >= 0) ctl(EPOLL_CTL_ADD, fd, EPOLLIN, tag(kListener, fd));
-    }
   }
 
-  ~Loop() {
-    for (const auto& [id, s] : sessions) ::close(s.fd);
+  ~Loop() override {
+    loop.stop();
     for (const auto& bh : backhauls) {
       if (bh.fd >= 0) ::close(bh.fd);
     }
-    ::close(ep);
-  }
-
-  static std::uint64_t tag(Tag t, std::uint64_t id) {
-    return static_cast<std::uint64_t>(t) << 56 | id;
-  }
-
-  void ctl(int op, int fd, std::uint32_t events, std::uint64_t data) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = data;
-    ::epoll_ctl(ep, op, fd, &ev);
-  }
-
-  /// Point a connection's epoll interest at `events` (a syscall only
-  /// when it changes).
-  void want(Conn& c, std::uint32_t events, std::uint64_t t) {
-    if (c.events == events) return;
-    c.events = events;
-    ctl(EPOLL_CTL_MOD, c.fd, events, t);
-  }
-
-  void mark(Conn& c, std::uint64_t t) {
-    if (c.dirty) return;
-    c.dirty = true;
-    dirty.push_back(t);
   }
 
   static std::uint64_t bump(std::uint64_t& counter) {
@@ -659,158 +604,46 @@ struct Router::Loop {
            1;
   }
 
-  void run() {
-    epoll_event events[128];
-    while (true) {
-      if (!draining && stop_requested.load(std::memory_order_acquire)) {
-        begin_drain();
-      }
-      if (draining &&
-          (now >= drain_until ||
-           (pending.empty() &&
-            std::all_of(sessions.begin(), sessions.end(),
-                        [](const auto& kv) { return kv.second.out.empty(); }))))
-        return;
-      const int n = ::epoll_wait(ep, events, 128, wait_ms());
-      now = Clock::now();
-      for (int i = 0; i < n; ++i) {
-        const std::uint64_t t = events[i].data.u64;
-        const std::uint64_t id = t & kIdMask;
-        switch (t >> 56) {
-          case kListener:
-            accept_all(static_cast<int>(id));
-            break;
-          case kFront:
-            on_front(id, events[i].events);
-            break;
-          case kBack:
-            on_backhaul(static_cast<std::size_t>(id), events[i].events);
-            break;
-        }
-      }
-      expire();
-      while (!resume.empty()) {
-        std::vector<std::uint64_t> ids;
-        ids.swap(resume);
-        for (const auto id : ids) {
-          const auto it = sessions.find(id);
-          if (it == sessions.end() || !it->second.blocked) continue;
-          it->second.blocked = false;
-          parse(id, it->second);
-          settle(id, it->second);
-        }
-      }
-      flush();
-    }
+  void mark(std::size_t b) {
+    if (backhauls[b].dirty) return;
+    backhauls[b].dirty = true;
+    dirty.push_back(b);
   }
 
-  int wait_ms() const {
-    if (!resume.empty()) return 0;
-    Clock::time_point next = now + Ms(100);
-    for (const auto& bh : backhauls) {
-      if (!bh.tries.empty()) next = std::min(next, bh.tries.front().second);
+  // -- front connections ------------------------------------------------------
+
+  bool on_accept(EventLoop::Conn& c) override {
+    // Rotate each group's replica preference by connection ordinal so
+    // concurrent clients spread across a group.
+    const auto index = bump(router.counts_.connections) - 1;
+    IOTAX_OBS_COUNT("fleet.connections", 1);
+    auto& replicas = prefer[c.id];
+    for (const auto& group : router.groups_) {
+      replicas.push_back(static_cast<std::size_t>(index % group.size()));
     }
-    if (!timers.empty()) next = std::min(next, timers.top().first);
-    return static_cast<int>(std::max<Ms::rep>(
-        0, std::chrono::ceil<Ms>(next - Clock::now()).count()));
+    if (config.chaos.accept_delay_ms == 0) return true;
+    loop.at(loop.now() + Ms(config.chaos.accept_delay_ms),
+            kAcceptDelay | c.id);
+    return false;
   }
 
-  /// Stop accepting and reading; keep going until every admitted request
-  /// is answered and written (or its deadline could not have held).
-  void begin_drain() {
-    draining = true;
-    drain_until =
-        now + Ms(config.deadline_ms + config.try_timeout_ms + 1000);
-    for (const int fd : {router.listeners_.unix_fd, router.listeners_.tcp_fd}) {
-      if (fd >= 0) ::epoll_ctl(ep, EPOLL_CTL_DEL, fd, nullptr);
-    }
-    std::vector<std::uint64_t> ids;
-    for (const auto& [id, s] : sessions) ids.push_back(id);
-    for (const auto id : ids) settle(id, sessions.at(id));
+  void on_close(std::uint64_t id) override { prefer.erase(id); }
+
+  void on_bad_frame(EventLoop::Conn& c, Reason reason, std::string detail,
+                    const std::string& why) override {
+    refuse(c, 0, ServeStatus::kBadFrame, reason, std::move(detail), why);
   }
 
-  // -- front sessions ---------------------------------------------------------
-
-  void accept_all(int listen_fd) {
-    int fd = -1;
-    while ((fd = ::accept4(listen_fd, nullptr, nullptr,
-                           SOCK_CLOEXEC | SOCK_NONBLOCK)) >= 0) {
-      const std::uint64_t id = ++next_session;
-      Session& s = sessions[id];
-      s.fd = fd;
-      // Rotate each group's replica preference by connection ordinal so
-      // concurrent clients spread across a group.
-      const auto index = bump(router.counts_.connections) - 1;
-      IOTAX_OBS_COUNT("fleet.connections", 1);
-      for (const auto& group : router.groups_) {
-        s.prefer.push_back(static_cast<std::size_t>(index % group.size()));
-      }
-      ctl(EPOLL_CTL_ADD, fd, 0, tag(kFront, id));
-      if (config.chaos.accept_delay_ms > 0) {
-        timers.push({now + Ms(config.chaos.accept_delay_ms), tag(kFront, id)});
-        continue;
-      }
-      s.reading = true;
-      settle(id, s);
-    }
-  }
-
-  void on_front(std::uint64_t id, std::uint32_t events) {
-    const auto it = sessions.find(id);
-    if (it == sessions.end()) return;
-    Session& s = it->second;
-    if ((events & EPOLLIN) && s.reading && !s.blocked && !draining) {
-      const ssize_t n = s.in.read_from(s.fd);
-      if (n < 0 && errno != EAGAIN) {
-        close_front(id);
-        return;
-      }
-      if (n == 0) {
-        s.reading = false;
-        s.eof = true;
-      }
-      parse(id, s);
-    } else if (events & (EPOLLHUP | EPOLLERR)) {
-      close_front(id);  // gone both ways: nobody left to answer
-      return;
-    }
-    if (events & EPOLLOUT) mark(s, tag(kFront, id));
-    settle(id, s);
-  }
-
-  /// Handle the whole frames buffered for `s` until it blocks.
-  void parse(std::uint64_t id, Session& s) {
-    while (!s.blocked && !draining) {
-      const FrameDecode& dec = s.in.peek();
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        // Framing is lost: answer the defect, read no further, close
-        // once the requests already admitted are answered.
-        refuse(id, s, 0, ServeStatus::kBadFrame, dec.reason, dec.detail);
-        s.in.clear();
-        s.reading = false;
-        s.eof = true;
-        return;
-      }
-      if (!handle(id, s, dec.header)) return;
-      s.in.pop();
-    }
-    if (s.eof && !s.blocked && !draining && s.in.buffered() > 0) {
-      refuse(id, s, 0, ServeStatus::kBadFrame, Reason::kTruncated,
-             "truncated frame", s.in.truncation_detail());
-      s.in.clear();
-    }
-  }
+  bool drained() const override { return pending.empty(); }
 
   /// One whole frame from a client. False when it has to wait: the
   /// backhaul it routes to has max_inflight requests outstanding.
-  bool handle(std::uint64_t id, Session& s, const FrameHeader& header) {
+  bool on_frame(EventLoop::Conn& c, const FrameHeader& header) override {
     switch (static_cast<FrameType>(header.type)) {
       case FrameType::kPing:
         // A pong means "the front door is up", not "every shard is up":
         // shard health is the supervisor's job.
-        s.out += encode_pong(header.request_id);
-        mark(s, tag(kFront, id));
+        loop.reply(c, encode_pong(header.request_id));
         return true;
       case FrameType::kPredictRequest:
         break;
@@ -818,44 +651,43 @@ struct Router::Loop {
         // Promote/rollback address one registry, and the fleet has N of
         // them. Routing a mutation to a hash-picked shard would fork the
         // replicas' state; refuse loudly instead.
-        refuse(id, s, header.request_id, ServeStatus::kBadRequest,
-               std::nullopt,
+        refuse(c, header.request_id, ServeStatus::kBadRequest, std::nullopt,
                "control operations are not routed; address a shard "
                "directly");
         return true;
       default:
-        refuse(id, s, header.request_id, ServeStatus::kBadFrame,
+        refuse(c, header.request_id, ServeStatus::kBadFrame,
                Reason::kMalformedHeader, "unexpected frame type",
                "unexpected frame type " + std::to_string(header.type));
         return true;
     }
     ErrorResponse err;
-    if (!decode_predict_request(header, s.in.payload(), &decoded, &err)) {
-      refuse(id, s, header.request_id, err.status, err.reason, err.detail);
+    if (!decode_predict_request(header, c.in.payload(), &decoded, &err)) {
+      refuse(c, header.request_id, err.status, err.reason, err.detail);
       return true;
     }
     const std::size_t group = fleet_slot(decoded, router.groups_.size());
-    Backhaul& bh = backhauls[first_backhaul[group] + s.prefer[group]];
+    const std::size_t replica = prefer.at(c.id)[group];
+    Backhaul& bh = backhauls[first_backhaul[group] + replica];
     if (bh.outstanding >= max_inflight) {
       // Overload pushes back on the sender: stop reading this client
       // until the replica's queue falls below its admission limit.
-      s.blocked = true;
-      bh.blocked.push_back(id);
+      bh.blocked.push_back(c.id);
       return false;
     }
     const std::uint64_t key = ++next_id;
     Request& rq = pending[key];
-    rq.session = id;
+    rq.conn = c.id;
     rq.client_id = header.request_id;
-    rq.frame.assign(as_chars(s.in.frame()));
+    rq.frame.assign(as_chars(c.in.frame()));
     rq.group = group;
-    rq.replica = s.prefer[group];
-    rq.deadline = now + Ms(config.deadline_ms);
-    ++s.pending;
+    rq.replica = replica;
+    rq.deadline = loop.now() + Ms(config.deadline_ms);
+    ++c.pending;
     IOTAX_OBS_COUNT("fleet.requests", 1);
     const std::uint64_t delay_ms = apply_chaos(bump(router.counts_.requests));
     if (delay_ms > 0) {
-      timers.push({now + Ms(delay_ms), key});
+      loop.at(loop.now() + Ms(delay_ms), key);
     } else {
       send(key);
     }
@@ -864,34 +696,14 @@ struct Router::Loop {
 
   /// Answer a frame the router refuses itself. A refusal with a Reason
   /// enters the quarantine ledger, described by `why` when given.
-  void refuse(std::uint64_t id, Session& s, std::uint64_t request_id,
-              ServeStatus status, std::optional<Reason> reason,
-              std::string detail, const std::string& why = {}) {
+  void refuse(EventLoop::Conn& c, std::uint64_t request_id, ServeStatus status,
+              std::optional<Reason> reason, std::string detail,
+              const std::string& why = {}) {
     if (reason) router.note_quarantine(*reason, why.empty() ? detail : why);
-    s.out += encode_error_response(
-        ErrorResponse{request_id, status, reason, std::move(detail)});
-    mark(s, tag(kFront, id));
+    loop.reply(c, encode_error_response(ErrorResponse{
+                      request_id, status, reason, std::move(detail)}));
     bump(router.counts_.errors);
     IOTAX_OBS_COUNT("fleet.errors", 1);
-  }
-
-  /// Re-register the session's epoll interest, or close it once it has
-  /// nothing left to read, answer or write.
-  void settle(std::uint64_t id, Session& s) {
-    if (s.pending == 0 && s.out.empty() &&
-        (draining || (s.eof && !s.blocked))) {
-      close_front(id);
-      return;
-    }
-    const bool read = s.reading && !s.blocked && !draining &&
-                      s.out.size() < kMaxFrontOut;
-    want(s, (read ? EPOLLIN : 0u) | (s.out.empty() ? 0u : EPOLLOUT),
-         tag(kFront, id));
-  }
-
-  void close_front(std::uint64_t id) {
-    ::close(sessions.at(id).fd);
-    sessions.erase(id);
   }
 
   // -- requests ---------------------------------------------------------------
@@ -912,16 +724,16 @@ struct Router::Loop {
         return;
       }
       bh.events = EPOLLIN;
-      ctl(EPOLL_CTL_ADD, bh.fd, bh.events, tag(kBack, b));
+      loop.add(bh.fd, bh.events, b);
     }
     util::patch_request_id(
         {reinterpret_cast<std::uint8_t*>(rq.frame.data()), rq.frame.size()},
         key);
     bh.out += rq.frame;
-    bh.tries.emplace_back(key, now + Ms(config.try_timeout_ms));
+    bh.tries.emplace_back(key, loop.now() + Ms(config.try_timeout_ms));
     ++bh.outstanding;
     rq.backhaul = b;
-    mark(bh, tag(kBack, b));
+    mark(b);
   }
 
   /// A try ended without an answer for the client. Schedule the next
@@ -949,8 +761,8 @@ struct Router::Loop {
         rq.replica = (rq.replica + 1) % n;
         bump(router.counts_.failovers);
         IOTAX_OBS_COUNT("fleet.failovers", 1);
-        const auto it = sessions.find(rq.session);
-        if (it != sessions.end()) it->second.prefer[rq.group] = rq.replica;
+        const auto it = prefer.find(rq.conn);
+        if (it != prefer.end()) it->second[rq.group] = rq.replica;
       }
       // A dead replica fails fast (ECONNREFUSED); pace the retries so a
       // whole group mid-restart does not spin through the deadline.
@@ -959,11 +771,12 @@ struct Router::Loop {
                                           rq.backoff_step++, rng);
       }
     }
+    const Clock::time_point now = loop.now();
     if (now < rq.deadline) {
       auto node = pending.extract(key);
       node.key() = ++next_id;
       pending.insert(std::move(node));
-      timers.push({std::min(rq.deadline, now + Ms(delay_ms)), next_id});
+      loop.at(std::min(rq.deadline, now + Ms(delay_ms)), next_id);
       return;
     }
     bump(router.counts_.degraded);
@@ -995,12 +808,9 @@ struct Router::Loop {
     bump(is_error ? router.counts_.errors : router.counts_.responses);
     if (is_error) IOTAX_OBS_COUNT("fleet.errors", 1);
     if (!is_error) IOTAX_OBS_COUNT("fleet.responses", 1);
-    const auto sit = sessions.find(it->second.session);
+    const std::uint64_t conn = it->second.conn;
     pending.erase(it);
-    if (sit == sessions.end()) return;
-    sit->second.out += reply;
-    --sit->second.pending;
-    mark(sit->second, tag(kFront, sit->first));
+    loop.answer(conn, reply);
   }
 
   /// Fire every chaos event due at this admission count; returns how
@@ -1041,7 +851,8 @@ struct Router::Loop {
 
   // -- backhauls --------------------------------------------------------------
 
-  void on_backhaul(std::size_t b, std::uint32_t events) {
+  void on_io(std::uint64_t token, std::uint32_t events) override {
+    const auto b = static_cast<std::size_t>(token);
     Backhaul& bh = backhauls[b];
     if (bh.fd < 0) return;
     if (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) {
@@ -1054,7 +865,7 @@ struct Router::Loop {
       }
       if (!relay_replies(b)) return;
     }
-    if (events & EPOLLOUT) mark(bh, tag(kBack, b));
+    if (events & EPOLLOUT) mark(b);
   }
 
   /// Match each whole reply frame to its request. False when the
@@ -1128,7 +939,35 @@ struct Router::Loop {
 
   // -- timers and writes ------------------------------------------------------
 
+  void on_timer(std::uint64_t token) override {
+    if (token & kAcceptDelay) {
+      loop.resume(token & ~kAcceptDelay);
+    } else if (pending.count(token) != 0) {
+      send(token);
+    }
+  }
+
+  /// Expire tries, re-parse the connections that stopped blocking, and
+  /// write every backhaul's output in one send each.
+  Clock::time_point on_tick() override {
+    expire();
+    while (!resume.empty()) {
+      std::vector<std::uint64_t> ids;
+      ids.swap(resume);
+      for (const auto id : ids) loop.resume(id);
+    }
+    flush();
+    // A send that broke a backhaul may have unblocked connections.
+    if (!resume.empty()) return loop.now();
+    Clock::time_point next = Clock::time_point::max();
+    for (const auto& bh : backhauls) {
+      if (!bh.tries.empty()) next = std::min(next, bh.tries.front().second);
+    }
+    return next;
+  }
+
   void expire() {
+    const Clock::time_point now = loop.now();
     for (std::size_t b = 0; b < backhauls.size(); ++b) {
       auto& tries = backhauls[b].tries;
       while (!tries.empty()) {
@@ -1143,50 +982,23 @@ struct Router::Loop {
                  " within " + std::to_string(config.try_timeout_ms) + "ms");
       }
     }
-    // Timers armed by the handlers below fire on a later pass.
-    std::vector<Timer> due;
-    while (!timers.empty() && timers.top().first <= now) {
-      due.push_back(timers.top());
-      timers.pop();
-    }
-    for (const auto& [at, id] : due) {
-      if (id >> 56 != kFront) {
-        if (pending.count(id) != 0) send(id);
-        continue;
-      }
-      const auto it = sessions.find(id & kIdMask);
-      if (it == sessions.end()) continue;
-      it->second.reading = true;
-      settle(it->first, it->second);
-    }
   }
 
-  /// One send per connection with output: every frame queued during
-  /// this wake-up leaves in a single write.
   void flush() {
     for (std::size_t i = 0; i < dirty.size(); ++i) {
-      const std::uint64_t t = dirty[i];
-      const std::uint64_t id = t & kIdMask;
-      if (t >> 56 == kBack) {
-        Backhaul& bh = backhauls[id];
-        bh.dirty = false;
-        if (bh.fd < 0) continue;
-        if (!send_some(bh.fd, &bh.out)) {
-          close_backhaul(id, Failure::kReset,
-                         "send to " + bh.endpoint.describe() + " failed");
-          continue;
-        }
-        want(bh, EPOLLIN | (bh.out.empty() ? 0u : EPOLLOUT), t);
+      const std::size_t b = dirty[i];
+      Backhaul& bh = backhauls[b];
+      bh.dirty = false;
+      if (bh.fd < 0) continue;
+      if (!EventLoop::send_some(bh.fd, &bh.out)) {
+        close_backhaul(b, Failure::kReset,
+                       "send to " + bh.endpoint.describe() + " failed");
         continue;
       }
-      const auto it = sessions.find(id);
-      if (it == sessions.end()) continue;
-      it->second.dirty = false;
-      if (!send_some(it->second.fd, &it->second.out)) {
-        close_front(id);
-        continue;
-      }
-      settle(id, it->second);
+      const std::uint32_t want = EPOLLIN | (bh.out.empty() ? 0u : EPOLLOUT);
+      if (bh.events == want) continue;
+      bh.events = want;
+      loop.modify(bh.fd, want, b);
     }
     dirty.clear();
   }
@@ -1223,6 +1035,13 @@ void Router::start() {
     if (group.empty()) {
       throw std::invalid_argument("fleet: a replica group has no endpoints");
     }
+    for (const auto& endpoint : group) {
+      if (endpoint.kind == Endpoint::Kind::kUnix &&
+          endpoint.path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+        throw std::invalid_argument("fleet: unix socket path too long: " +
+                                    endpoint.path);
+      }
+    }
   }
   if (config_.deadline_ms == 0) {
     throw std::invalid_argument("fleet: deadline_ms must be > 0");
@@ -1243,19 +1062,18 @@ void Router::start() {
     }
   }
   config_.chaos.validate();
-  listeners_.open(config_.unix_socket, config_.tcp_port, "fleet");
   loop_ = std::make_unique<Loop>(*this);
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { loop_->run(); });
+  loop_->loop.start();
 }
 
 void Router::stop() {
   if (!running_.exchange(false)) return;
-  loop_->stop_requested.store(true, std::memory_order_release);
-  loop_thread_.join();
+  loop_->loop.stop();
   loop_.reset();
-  listeners_.close();
 }
+
+int Router::tcp_port() const { return loop_ ? loop_->loop.tcp_port() : -1; }
 
 FleetStats Router::stats() const {
   const auto get = [](const std::uint64_t& c) {

@@ -1,8 +1,8 @@
 // The serving fleet: a supervised pack of shard daemons behind one
 // consistent-hashing router.
 //
-//   clients ==> Router (one epoll thread) ==> one backhaul per shard
-//               pending: backhaul id -> (session, client id, try state)
+//   clients ==> Router (one EventLoop thread) ==> one backhaul per shard
+//               pending: backhaul id -> (conn, client id, try state)
 //                                              shard g<slot>r<k> (iotax serve)
 //                                                   ^
 //               Supervisor: spawn, health ping, SIGKILL hung shards,
@@ -11,7 +11,7 @@
 // Every shard loads the same checkpoints, so the hash only decides
 // *where* a request runs, never *what* it answers. The router forwards
 // each client's frames as they arrive, pipelined over one multiplexed
-// connection per shard, so a client's window reaches the shard's batcher
+// connection per shard, so a client's window reaches the shard's batch
 // whole. Retry, BUSY back-off and failover are per-request state under
 // deadlines, which is why a mid-load `kill -9` of a shard is invisible
 // to clients: its in-flight requests go out again to a sibling replica
@@ -244,7 +244,7 @@ class Router {
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-  int tcp_port() const { return listeners_.tcp_port; }
+  int tcp_port() const;
   std::size_t n_groups() const { return groups_.size(); }
 
   FleetStats stats() const;
@@ -253,16 +253,14 @@ class Router {
   util::QuarantineReport quarantine() const;
 
  private:
-  struct Loop;  // the event loop's state; fleet.cpp
+  struct Loop;  // request, backhaul and retry state on an EventLoop
 
   void note_quarantine(util::Reason reason, const std::string& detail);
 
   RouterConfig config_;
   std::vector<std::vector<Endpoint>> groups_;
-  Listeners listeners_;
 
   std::atomic<bool> running_{false};
-  std::unique_ptr<Loop> loop_;
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_
@@ -270,7 +268,7 @@ class Router {
   /// Written by the event loop, read by stats(); every access to a field
   /// goes through std::atomic_ref.
   FleetStats counts_;
-  std::thread loop_thread_;
+  std::unique_ptr<Loop> loop_;  // last: its thread uses everything above
 };
 
 }  // namespace iotax::serve

@@ -1,18 +1,12 @@
 #include "src/serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include "src/data/matrix.hpp"
@@ -22,89 +16,25 @@
 
 namespace iotax::serve {
 
-using util::FrameDecode;
 using util::FrameHeader;
 using util::FrameType;
 using util::Reason;
 
-struct Server::Session {
-  int fd = -1;
-  std::mutex write_mu;
-  std::atomic<bool> dead{false};
+namespace {
 
-  ~Session() {
-    if (fd >= 0) ::close(fd);
-  }
-};
+/// How long a drain waits for admitted work to be answered and written.
+/// Admitted rows are scored within milliseconds; only a peer that does
+/// not read its replies can use the rest.
+constexpr auto kDrainGrace = std::chrono::seconds(2);
+
+}  // namespace
 
 /// One admitted request waiting for its batch.
 struct Server::Pending {
-  std::shared_ptr<Session> session;
+  std::uint64_t conn = 0;
   PredictRequest req;
   std::chrono::steady_clock::time_point t_enqueue;
 };
-
-void Listeners::open(const std::string& unix_socket, int port,
-                     const char* who) {
-  const std::string me = std::string(who) + ": ";
-  const auto listen_on = [&](const sockaddr* addr, socklen_t len,
-                             const std::string& where) {
-    const int fd = ::socket(addr->sa_family,
-                            SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-    if (fd < 0) throw std::runtime_error(me + "socket() failed");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, addr, len) < 0 || ::listen(fd, 128) < 0) {
-      const int err = errno;
-      ::close(fd);
-      close();
-      throw std::runtime_error(me + "cannot listen on " + where + ": " +
-                               std::strerror(err));
-    }
-    return fd;
-  };
-  if (!unix_socket.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (unix_socket.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error(me + "unix socket path too long: " +
-                               unix_socket);
-    }
-    std::memcpy(addr.sun_path, unix_socket.c_str(), unix_socket.size() + 1);
-    ::unlink(unix_socket.c_str());  // stale socket from a previous run
-    unix_fd = listen_on(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-                        "unix socket " + unix_socket);
-    unix_path = unix_socket;
-  }
-  if (port >= 0) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    tcp_fd = listen_on(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
-                       "TCP port " + std::to_string(port));
-    socklen_t len = sizeof(addr);
-    if (::getsockname(tcp_fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-      tcp_port = ntohs(addr.sin_port);
-    }
-  }
-  if (unix_fd < 0 && tcp_fd < 0) {
-    throw std::runtime_error(
-        me + "no listener configured (need --socket and/or --port)");
-  }
-}
-
-void Listeners::close() {
-  if (unix_fd >= 0) {
-    ::close(unix_fd);
-    ::unlink(unix_path.c_str());
-    unix_fd = -1;
-  }
-  if (tcp_fd >= 0) {
-    ::close(tcp_fd);
-    tcp_fd = -1;
-  }
-}
 
 Server::Server(ServeConfig config) : config_(std::move(config)) {
   if (config_.batch_size == 0) config_.batch_size = 1;
@@ -152,51 +82,18 @@ void Server::start() {
     std::lock_guard<std::mutex> lock(shadow_mu_);
     shadow_ = std::move(entry);
   }
-  queue_ = std::make_unique<util::BoundedQueue<Pending>>(config_.max_inflight);
-  listeners_.open(config_.unix_socket, config_.tcp_port, "serve");
-  stopping_.store(false, std::memory_order_release);
+  EventLoop::Handler& handler = *this;  // the base is private
+  loop_ = std::make_unique<EventLoop>(handler, config_.unix_socket,
+                                      config_.tcp_port, "serve", kDrainGrace);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  batcher_thread_ = std::thread([this] { batcher_loop(); });
+  loop_->start();
 }
 
 void Server::stop() {
-  if (!running_.load(std::memory_order_acquire)) return;
-  if (stopping_.exchange(true)) {
-    // Another thread is already draining; wait for it to finish.
-    while (running_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return;
-  }
-  // 1. Stop accepting and close the listeners.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listeners_.close();
-  // 2. Stop the session readers (no new admissions). shutdown(SHUT_RD)
-  // turns a blocked poll into an immediate EOF; pending responses still
-  // flow out through the write side.
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    for (const auto& weak : sessions_) {
-      if (const auto session = weak.lock()) {
-        ::shutdown(session->fd, SHUT_RD);
-      }
-    }
-  }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    readers.swap(session_threads_);
-  }
-  for (auto& t : readers) t.join();
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    finished_.clear();
-  }
-  // 3. Drain: the batcher answers every admitted request, then exits.
-  queue_->close();
-  if (batcher_thread_.joinable()) batcher_thread_.join();
-  running_.store(false, std::memory_order_release);
+  if (!running_.exchange(false)) return;
+  // The loop stops reading and runs until everything admitted is
+  // scored and the replies are written.
+  loop_->stop();
 }
 
 ServeStats Server::stats() const {
@@ -229,24 +126,6 @@ util::QuarantineReport Server::quarantine() const {
   return quarantine_;
 }
 
-bool Server::write_frame(Session& session, std::string_view bytes) {
-  std::lock_guard<std::mutex> lock(session.write_mu);
-  if (session.dead.load(std::memory_order_relaxed)) return false;
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::send(session.fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      session.dead.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void Server::note_quarantine(Reason reason, const std::string& detail) {
   {
     std::lock_guard<std::mutex> lock(quarantine_mu_);
@@ -259,201 +138,135 @@ void Server::note_quarantine(Reason reason, const std::string& detail) {
   IOTAX_OBS_COUNT("serve.quarantined", 1);
 }
 
-void Server::refuse(const std::shared_ptr<Session>& session,
-                    std::uint64_t request_id, ServeStatus status,
-                    std::optional<Reason> reason, std::string detail,
-                    const std::string& why) {
+std::string Server::refusal(std::uint64_t request_id, ServeStatus status,
+                            std::optional<Reason> reason, std::string detail,
+                            const std::string& why) {
   if (reason) note_quarantine(*reason, why.empty() ? detail : why);
-  write_frame(*session, encode_error_response(ErrorResponse{
-                            request_id, status, reason, std::move(detail)}));
-  if (status == ServeStatus::kBusy || status == ServeStatus::kShuttingDown) {
+  if (status == ServeStatus::kBusy) {
     n_shed_.fetch_add(1, std::memory_order_relaxed);
     IOTAX_OBS_COUNT("serve.shed", 1);
   } else {
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     IOTAX_OBS_COUNT("serve.errors", 1);
   }
+  return encode_error_response(
+      ErrorResponse{request_id, status, reason, std::move(detail)});
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    int n_fds = 0;
-    for (const int fd : {listeners_.unix_fd, listeners_.tcp_fd}) {
-      if (fd >= 0) fds[n_fds++] = {fd, POLLIN, 0};
-    }
-    const int rc = ::poll(fds, static_cast<nfds_t>(n_fds), 100);
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    reap_sessions_locked();
-    if (rc <= 0) continue;
-    for (int i = 0; i < n_fds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int cfd = ::accept4(fds[i].fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (cfd < 0) continue;
-      auto session = std::make_shared<Session>();
-      session->fd = cfd;
-      n_connections_.fetch_add(1, std::memory_order_relaxed);
-      IOTAX_OBS_COUNT("serve.connections", 1);
-      sessions_.push_back(session);
-      session_threads_.emplace_back(
-          [this, session = std::move(session)]() mutable {
-            session_loop(std::move(session));
-            std::lock_guard<std::mutex> done(sessions_mu_);
-            finished_.push_back(std::this_thread::get_id());
-          });
-    }
-  }
+bool Server::on_accept(EventLoop::Conn& /*c*/) {
+  n_connections_.fetch_add(1, std::memory_order_relaxed);
+  IOTAX_OBS_COUNT("serve.connections", 1);
+  return true;
 }
 
-void Server::reap_sessions_locked() {
-  // These readers have released their sessions and only have to return.
-  // Unjoined, each would keep its stack mapped until stop(): a shard the
-  // supervisor pings on a fresh connection every 100 ms would run out of
-  // mappings within the hour.
-  for (const auto id : finished_) {
-    const auto it = std::find_if(
-        session_threads_.begin(), session_threads_.end(),
-        [id](const std::thread& t) { return t.get_id() == id; });
-    if (it == session_threads_.end()) continue;
-    it->join();
-    *it = std::move(session_threads_.back());
-    session_threads_.pop_back();
-  }
-  finished_.clear();
-  std::erase_if(sessions_, [](const auto& weak) { return weak.expired(); });
+void Server::on_bad_frame(EventLoop::Conn& c, Reason reason,
+                          std::string detail, const std::string& why) {
+  // The daemon itself keeps serving every other connection.
+  loop_->reply(c, refusal(0, ServeStatus::kBadFrame, reason,
+                          std::move(detail), why));
 }
 
-void Server::session_loop(std::shared_ptr<Session> session) {
-  util::FrameReader reader;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{session->fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 100);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) continue;
-    const ssize_t n = reader.read_from(session->fd);
-    if (n < 0) break;
-    if (n == 0) {
-      // EOF. Anything left in the buffer is a frame the peer never
-      // finished — the wire-level analogue of a truncated archive.
-      // During drain the cut is ours, not the peer's: stay silent.
-      if (reader.buffered() > 0 && !stopping_.load(std::memory_order_acquire)) {
-        refuse(session, 0, ServeStatus::kBadFrame, Reason::kTruncated,
-               "truncated frame", reader.truncation_detail());
-      }
-      break;
-    }
-    bool close_session = false;
-    while (true) {
-      const FrameDecode& dec = reader.peek();
-      if (dec.status == FrameDecode::Status::kNeedMore) break;
-      if (dec.status == FrameDecode::Status::kBad) {
-        // Framing is lost — reply with the typed defect and close; the
-        // daemon itself keeps serving every other connection.
-        refuse(session, 0, ServeStatus::kBadFrame, dec.reason, dec.detail);
-        close_session = true;
-        break;
-      }
-      if (!handle_frame(session, dec.header, reader.payload())) {
-        close_session = true;
-        break;
-      }
-      reader.pop();
-    }
-    if (close_session) break;
-  }
+bool Server::on_frame(EventLoop::Conn& c, const FrameHeader& header) {
+  const std::string reply = handle_frame(c, header);
+  if (!reply.empty()) loop_->reply(c, reply);
+  return true;
 }
 
-bool Server::handle_frame(const std::shared_ptr<Session>& session,
-                          const FrameHeader& header,
-                          std::span<const std::uint8_t> payload) {
+std::string Server::handle_frame(EventLoop::Conn& c,
+                                 const FrameHeader& header) {
+  const auto payload = c.in.payload();
   switch (static_cast<FrameType>(header.type)) {
     case FrameType::kPing:
-      write_frame(*session, encode_pong(header.request_id));
-      return true;
+      return encode_pong(header.request_id);
     case FrameType::kPredictRequest:
       break;
     case FrameType::kControlRequest: {
       ControlRequest creq;
       ErrorResponse cerr;
       if (!decode_control_request(header, payload, &creq, &cerr)) {
-        refuse(session, cerr.request_id, cerr.status, cerr.reason,
-               cerr.detail);
-        return true;
+        return refusal(cerr.request_id, cerr.status, cerr.reason, cerr.detail);
       }
-      handle_control(session, creq);
-      return true;
+      return handle_control(creq);
     }
-    default: {
+    default:
       // Well-framed but not something a client may send. The frame
       // boundary is intact, so the connection survives.
-      refuse(session, header.request_id, ServeStatus::kBadFrame,
-             Reason::kMalformedHeader, "unexpected frame type",
-             "unexpected frame type " + std::to_string(header.type));
-      return true;
-    }
+      return refusal(header.request_id, ServeStatus::kBadFrame,
+                     Reason::kMalformedHeader, "unexpected frame type",
+                     "unexpected frame type " + std::to_string(header.type));
   }
 
   Pending pending;
-  pending.session = session;
+  pending.conn = c.id;
   ErrorResponse err;
   if (!decode_predict_request(header, payload, &pending.req, &err)) {
-    refuse(session, err.request_id, err.status, err.reason, err.detail);
-    return true;
+    return refusal(err.request_id, err.status, err.reason, err.detail);
   }
   const std::uint64_t id = header.request_id;
   if (pending.req.model_index >= registry_.size()) {
-    refuse(session, id, ServeStatus::kUnknownModel, std::nullopt,
-           "model index " + std::to_string(pending.req.model_index) +
-               " outside registry of " + std::to_string(registry_.size()));
-    return true;
+    return refusal(id, ServeStatus::kUnknownModel, std::nullopt,
+                   "model index " + std::to_string(pending.req.model_index) +
+                       " outside registry of " +
+                       std::to_string(registry_.size()));
   }
-  // Snapshot the slot's current publication: a concurrent promote can
-  // swap the slot, but this request validated (and will score) against a
-  // coherent entry that the shared_ptr keeps alive.
+  // Validate against the slot's current publication; the batch scores
+  // on whatever the slot holds when it closes.
   const auto entry = registry_.entry(pending.req.model_index);
   const auto& model = *entry->model;
   if (model.n_features() != 0 &&
       pending.req.features.size() != model.n_features()) {
-    refuse(session, id, ServeStatus::kBadRequest, Reason::kSizeMismatch,
-           "model expects " + std::to_string(model.n_features()) +
-               " features, request carries " +
-               std::to_string(pending.req.features.size()));
-    return true;
-  }
-  if (stopping_.load(std::memory_order_acquire)) {
-    refuse(session, id, ServeStatus::kShuttingDown, std::nullopt,
-           "daemon is draining");
-    return true;
+    return refusal(id, ServeStatus::kBadRequest, Reason::kSizeMismatch,
+                   "model expects " + std::to_string(model.n_features()) +
+                       " features, request carries " +
+                       std::to_string(pending.req.features.size()));
   }
   // Admission control: past max-inflight the request is shed with a
   // typed BUSY reply — the client backs off, the daemon never queues
   // unboundedly.
-  if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
-      config_.max_inflight) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    refuse(session, id, ServeStatus::kBusy, std::nullopt,
-           "max-inflight " + std::to_string(config_.max_inflight) +
-               " reached");
-    return true;
+  if (pending_.size() >= config_.max_inflight) {
+    return refusal(id, ServeStatus::kBusy, std::nullopt,
+                   "max-inflight " + std::to_string(config_.max_inflight) +
+                       " reached");
   }
-  pending.t_enqueue = std::chrono::steady_clock::now();
-  if (!queue_->try_push(std::move(pending))) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    refuse(session, id,
-           queue_->closed() ? ServeStatus::kShuttingDown : ServeStatus::kBusy,
-           std::nullopt, "request queue full");
-    return true;
-  }
+  pending.t_enqueue = loop_->now();
+  pending_.push_back(std::move(pending));
+  ++c.pending;
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   IOTAX_OBS_COUNT("serve.requests", 1);
-  IOTAX_OBS_GAUGE("serve.inflight",
-                  static_cast<double>(
-                      inflight_.load(std::memory_order_relaxed)));
-  return true;
+  IOTAX_OBS_GAUGE("serve.inflight", static_cast<double>(pending_.size()));
+  return {};
 }
 
-void Server::handle_control(const std::shared_ptr<Session>& session,
-                            const ControlRequest& req) {
+bool Server::drained() const { return pending_.empty(); }
+
+EventLoop::Clock::time_point Server::on_tick() {
+  // Work-conserving batching: what this wake-up admitted is scored now,
+  // up to batch_size rows at a time, and requests that arrive meanwhile
+  // wait in their sockets for the next batch. A positive batch_wait_us
+  // holds a batch open until it fills or its first request has waited
+  // that long.
+  const auto window = std::chrono::microseconds(config_.batch_wait_us);
+  while (!pending_.empty()) {
+    const auto closes = pending_.front().t_enqueue + window;
+    if (pending_.size() < config_.batch_size && loop_->now() < closes) {
+      return closes;
+    }
+    std::vector<Pending> batch;
+    if (pending_.size() <= config_.batch_size) {
+      batch.swap(pending_);
+    } else {
+      const auto end = pending_.begin() +
+                       static_cast<std::ptrdiff_t>(config_.batch_size);
+      batch.assign(std::make_move_iterator(pending_.begin()),
+                   std::make_move_iterator(end));
+      pending_.erase(pending_.begin(), end);
+    }
+    run_batch(std::move(batch));
+  }
+  return EventLoop::Clock::time_point::max();
+}
+
+std::string Server::handle_control(const ControlRequest& req) {
   ControlResponse resp;
   resp.request_id = req.request_id;
   resp.shadow_requests = n_shadow_requests_.load(std::memory_order_relaxed);
@@ -466,8 +279,7 @@ void Server::handle_control(const std::shared_ptr<Session>& session,
     resp.ok = false;
     resp.detail = "model index " + std::to_string(req.model_index) +
                   " outside registry of " + std::to_string(registry_.size());
-    write_frame(*session, encode_control_response(resp));
-    return;
+    return encode_control_response(resp);
   }
   switch (req.op) {
     case ControlOp::kStatus: {
@@ -550,16 +362,7 @@ void Server::handle_control(const std::shared_ptr<Session>& session,
       break;
     }
   }
-  write_frame(*session, encode_control_response(resp));
-}
-
-void Server::batcher_loop() {
-  while (true) {
-    auto batch = queue_->pop_batch(
-        config_.batch_size, std::chrono::microseconds(config_.batch_wait_us));
-    if (batch.empty()) break;  // closed and drained
-    run_batch(std::move(batch));
-  }
+  return encode_control_response(resp);
 }
 
 void Server::run_batch(std::vector<Pending>&& batch) {
@@ -609,9 +412,8 @@ void Server::run_batch(std::vector<Pending>&& batch) {
   }
 
   for (const auto& group : groups) {
-    // Entry snapshot: a promote landing mid-batch swaps the registry
-    // slot, but this group finishes on the model its requests were
-    // admitted against — no in-flight request is dropped or re-scored.
+    // One entry snapshot per group: every row of it scores on the same
+    // publication, and no admitted request is dropped or re-scored.
     const auto entry = registry_.entry(group.model_index);
     const auto& model = *entry->model;
     // Shadow scoring applies to kFlagShadow point predictions against
@@ -629,7 +431,6 @@ void Server::run_batch(std::vector<Pending>&& batch) {
       for (std::size_t c = 0; c < group.width; ++c) row[c] = feats[c];
     }
     std::vector<PredictResponse> responses(group.slots.size());
-    bool ok = true;
     try {
       // A dist request against an ensemble gets the full decomposition;
       // any other model family answers with its point prediction. Both
@@ -680,20 +481,20 @@ void Server::run_batch(std::vector<Pending>&& batch) {
         }
       }
     } catch (const std::exception& e) {
-      ok = false;
       for (const auto slot : group.slots) {
-        refuse(batch[slot].session, batch[slot].req.request_id,
-               ServeStatus::kInternal, std::nullopt, e.what());
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        loop_->answer(batch[slot].conn,
+                      refusal(batch[slot].req.request_id,
+                              ServeStatus::kInternal, std::nullopt, e.what()));
       }
+      continue;
     }
-    if (!ok) continue;
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < group.slots.size(); ++r) {
       const auto slot = group.slots[r];
       responses[r].request_id = batch[slot].req.request_id;
-      write_frame(*batch[slot].session, encode_predict_response(responses[r]));
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      // A reply for a connection that has closed is dropped; it still
+      // counts as answered.
+      loop_->answer(batch[slot].conn, encode_predict_response(responses[r]));
       n_responses_.fetch_add(1, std::memory_order_relaxed);
       IOTAX_OBS_COUNT("serve.responses", 1);
       if (obs::enabled()) {
@@ -705,9 +506,7 @@ void Server::run_batch(std::vector<Pending>&& batch) {
       }
     }
   }
-  IOTAX_OBS_GAUGE("serve.inflight",
-                  static_cast<double>(
-                      inflight_.load(std::memory_order_relaxed)));
+  IOTAX_OBS_GAUGE("serve.inflight", static_cast<double>(pending_.size()));
 }
 
 }  // namespace iotax::serve

@@ -3,40 +3,43 @@
 // Unix-domain and/or TCP sockets using the framed binary protocol
 // (serve/protocol.hpp).
 //
-// Request lifecycle:
-//   session reader --> bounded MPMC queue --> batcher --> session socket
+// Request lifecycle, all on one event-loop thread (serve/event_loop.hpp):
+//   read + decode --> admit (max-inflight) --> batch --> score --> write
 //
-// One reader thread per connection decodes frames and admits requests
-// into a BoundedQueue (capacity = --max-inflight). A single batcher
-// thread blocks for the first request, takes everything already queued
-// up to --batch-size (batches grow under load, because requests queue
-// while the previous batch is scored; --batch-wait-us N opts into
-// waiting up to N µs for more), assembles each model's rows into one
-// Matrix, and runs the ordinary batch-predict kernels — the same
-// thread-pool code offline `iotax predict` uses — so served answers
-// are bit-identical to offline predictions at any IOTAX_THREADS.
-// Responses are written back on the requester's socket under a
-// per-session write lock (responses carry the request id, so
-// cross-request ordering is unconstrained).
+// The loop owns every connection. It decodes frames, answers pings and
+// control operations, and admits predict requests, up to --max-inflight
+// of them. Once per wake-up it scores what it admitted, --batch-size
+// rows at a time (batching is work-conserving: requests that arrive
+// while a batch is scored wait for the next one; --batch-wait-us N opts
+// into holding a batch open up to N µs for more). Each model's rows go
+// through the ordinary batch-predict kernels in one Matrix — the same
+// thread-pool code offline `iotax predict` uses — so served answers are
+// bit-identical to offline predictions at any IOTAX_THREADS. Replies
+// leave without blocking, one send per connection per wake-up, so a
+// client that does not read its replies stalls nobody else: past
+// EventLoop::kMaxFrontOut unsent bytes the loop stops reading it.
+// Responses carry the request id, so cross-request ordering is
+// unconstrained.
 //
 // Failure model: malformed or truncated frames map to the shared
 // quarantine Reason vocabulary and produce a typed error reply; they
 // never kill the daemon. Admission control sheds load with a typed BUSY
-// reply once max-inflight requests are in the system. stop() drains
-// gracefully: listeners close, readers stop admitting, every already-
-// admitted request is answered, then threads join.
+// reply once max-inflight requests wait for their batch. stop() drains
+// gracefully: listeners close, the loop stops reading, every already-
+// admitted request is answered and written (peers that do not read get
+// a fixed grace), then the loop thread joins.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/ml/registry.hpp"
+#include "src/serve/event_loop.hpp"
 #include "src/serve/protocol.hpp"
-#include "src/util/mpmc.hpp"
 #include "src/util/quarantine.hpp"
 
 namespace iotax::serve {
@@ -51,16 +54,16 @@ struct ServeConfig {
   /// port — read it back with Server::tcp_port()).
   int tcp_port = -1;
   /// Micro-batching: a batch holds at most `batch_size` requests. With
-  /// `batch_wait_us` 0 (work-conserving, the default) it closes as soon
-  /// as the batcher is free, holding whatever was queued; a positive
+  /// `batch_wait_us` 0 (work-conserving, the default) it closes at the
+  /// end of the loop's wake-up, holding whatever was admitted; a positive
   /// window keeps it open that long after its first request unless it
   /// fills first. These defaults (and `max_inflight`) are the only
   /// copies: the fleet's SupervisorConfig and the CLI read them from
   /// ServeConfig{}.
   std::size_t batch_size = 32;
   std::uint64_t batch_wait_us = 0;
-  /// Admission control: requests beyond this many in flight get a typed
-  /// BUSY reply instead of queueing (also the queue capacity).
+  /// Admission control: requests beyond this many waiting for their
+  /// batch get a typed BUSY reply instead of queueing.
   std::size_t max_inflight = 256;
   /// Shadow deployment: a candidate checkpoint served beside production
   /// ("" disables). Requests flagged kFlagShadow get values =
@@ -78,7 +81,7 @@ struct ServeConfig {
 struct ServeStats {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;     // admitted predict requests
-  std::uint64_t responses = 0;    // predict responses written
+  std::uint64_t responses = 0;    // predict responses handed to the loop
   std::uint64_t batches = 0;      // batches executed
   std::uint64_t shed = 0;         // BUSY replies (admission control)
   std::uint64_t errors = 0;       // typed error replies other than BUSY
@@ -90,41 +93,26 @@ struct ServeStats {
   double max_abs_divergence = 0.0;    // worst |production - shadow| seen
 };
 
-/// The front door of a daemon or router: non-blocking Unix-domain and/or
-/// TCP (127.0.0.1) listeners. open() throws, prefixed with `who`, when
-/// one cannot be bound or neither is configured; close() also unlinks
-/// the socket path.
-struct Listeners {
-  std::string unix_path;
-  int unix_fd = -1;
-  int tcp_fd = -1;
-  int tcp_port = -1;  // the bound port (a requested port 0 is ephemeral)
-
-  void open(const std::string& unix_socket, int port, const char* who);
-  void close();
-};
-
-class Server {
+class Server : private EventLoop::Handler {
  public:
   explicit Server(ServeConfig config);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Load models, bind listeners, launch the accept and batcher
-  /// threads. Throws std::runtime_error on any setup failure (bad
+  /// Load models, bind listeners, launch the event-loop thread. Throws std::runtime_error on any setup failure (bad
   /// checkpoint, unbindable socket).
   void start();
 
-  /// Graceful drain: stop accepting, answer everything already
-  /// admitted, join all threads. Idempotent; blocks until done.
+  /// Graceful drain: stop accepting and reading, answer everything
+  /// already admitted, join the loop thread. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Actual TCP port after start() (useful with config tcp_port = 0);
   /// -1 when TCP is disabled.
-  int tcp_port() const { return listeners_.tcp_port; }
+  int tcp_port() const { return loop_ ? loop_->tcp_port() : -1; }
 
   const ml::ModelRegistry& registry() const { return registry_; }
   const ServeConfig& config() const { return config_; }
@@ -138,51 +126,39 @@ class Server {
   util::QuarantineReport quarantine() const;
 
  private:
-  struct Session;
   struct Pending;
 
-  void accept_loop();
-  /// Join the reader threads that have exited; sessions_mu_ held.
-  void reap_sessions_locked();
-  void session_loop(std::shared_ptr<Session> session);
-  void batcher_loop();
-  /// Handle one complete frame from `session`; returns false when the
-  /// connection must close (unrecoverable framing defect).
-  bool handle_frame(const std::shared_ptr<Session>& session,
-                    const util::FrameHeader& header,
-                    std::span<const std::uint8_t> payload);
+  // EventLoop::Handler, all on the loop thread.
+  bool on_accept(EventLoop::Conn& c) override;
+  bool on_frame(EventLoop::Conn& c, const util::FrameHeader& header) override;
+  void on_bad_frame(EventLoop::Conn& c, util::Reason reason,
+                    std::string detail, const std::string& why) override;
+  bool drained() const override;
+  /// Score the admitted requests whose batch has closed.
+  EventLoop::Clock::time_point on_tick() override;
+
+  /// Handle one complete frame: the reply to queue, or "" when the
+  /// request was admitted (its batch answers it).
+  std::string handle_frame(EventLoop::Conn& c,
+                           const util::FrameHeader& header);
   /// Apply one administrative verb (promote / rollback / status) and
-  /// reply with a ControlResponse on the requester's session.
-  void handle_control(const std::shared_ptr<Session>& session,
-                      const ControlRequest& req);
+  /// return the encoded ControlResponse.
+  std::string handle_control(const ControlRequest& req);
   void run_batch(std::vector<Pending>&& batch);
-  /// Reply with a typed error (BUSY and shutting-down count as shed). A
-  /// reply carrying a Reason also enters the quarantine ledger,
-  /// described by `why` when given.
-  void refuse(const std::shared_ptr<Session>& session,
-              std::uint64_t request_id, ServeStatus status,
-              std::optional<util::Reason> reason, std::string detail,
-              const std::string& why = {});
+  /// Account for a typed error reply (BUSY counts as shed) and return
+  /// it encoded. A reply carrying a Reason also enters the quarantine
+  /// ledger, described by `why` when given.
+  std::string refusal(std::uint64_t request_id, ServeStatus status,
+                      std::optional<util::Reason> reason, std::string detail,
+                      const std::string& why = {});
   void note_quarantine(util::Reason reason, const std::string& detail);
-  static bool write_frame(Session& session, std::string_view bytes);
 
   ServeConfig config_;
   ml::ModelRegistry registry_;
 
-  Listeners listeners_;
-
-  std::unique_ptr<util::BoundedQueue<Pending>> queue_;
-  std::atomic<std::size_t> inflight_{0};
+  std::vector<Pending> pending_;  // admitted, batch open (loop thread)
 
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-
-  std::thread accept_thread_;
-  std::thread batcher_thread_;
-  mutable std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;      // guarded by sessions_mu_
-  std::vector<std::thread::id> finished_;         // guarded by sessions_mu_
-  std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
 
   mutable std::mutex quarantine_mu_;
   util::QuarantineReport quarantine_;  // guarded by quarantine_mu_
@@ -204,6 +180,8 @@ class Server {
   std::atomic<std::uint64_t> n_shadow_diverged_{0};
   std::atomic<std::uint64_t> n_promotions_{0};
   std::atomic<std::uint64_t> n_rollbacks_{0};
+
+  std::unique_ptr<EventLoop> loop_;  // last: its thread uses all above
 };
 
 }  // namespace iotax::serve

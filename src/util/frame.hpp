@@ -113,7 +113,7 @@ void patch_request_id(std::span<std::uint8_t> frame, std::uint64_t request_id);
 
 /// Reassembles frames from a byte stream: the one copy of the receive
 /// buffer, parse cursor and defect mapping that every framed connection
-/// (daemon session, router front and backhaul, blocking client) uses.
+/// (event-loop connection, router backhaul, blocking client) uses.
 ///
 ///   reader.read_from(fd);
 ///   while (reader.peek().status == kOk) { use frame()/payload(); pop(); }

@@ -961,6 +961,14 @@ TEST_F(FleetTest, RouterConfigContractsAreEnforced) {
     serve::Router router(cfg);
     EXPECT_THROW(router.start(), std::invalid_argument);
   }
+  {  // A unix endpoint path that does not fit sun_path, not truncated.
+    serve::RouterConfig cfg;
+    cfg.unix_socket = sock_path("cfg_e");
+    cfg.static_groups = {
+        {serve::Endpoint::unix_path("/tmp/" + std::string(103, 'p'))}};
+    serve::Router router(cfg);
+    EXPECT_THROW(router.start(), std::invalid_argument);
+  }
 }
 
 // -- pipelining and the event loop ------------------------------------------

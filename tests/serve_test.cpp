@@ -11,12 +11,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "src/data/matrix.hpp"
@@ -26,7 +29,6 @@
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/frame.hpp"
-#include "src/util/mpmc.hpp"
 #include "src/util/quarantine.hpp"
 #include "src/util/rng.hpp"
 
@@ -207,81 +209,6 @@ TEST(Frame, ReasonNamesRoundTrip) {
   EXPECT_EQ(r, Reason::kTruncated);
   EXPECT_FALSE(util::reason_from_name("no-such-reason", &r));
   EXPECT_EQ(r, Reason::kTruncated);  // untouched on failure
-}
-
-// -- bounded MPMC queue -----------------------------------------------------
-
-TEST(BoundedQueue, BackpressureAndClose) {
-  util::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: caller sheds
-  auto batch = q.pop_batch(8, std::chrono::microseconds(0));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  q.close();
-  EXPECT_FALSE(q.try_push(4));  // closed: no new work
-  EXPECT_TRUE(q.pop_batch(8, std::chrono::microseconds(0)).empty());
-}
-
-TEST(BoundedQueue, BatchGatherRespectsMaxN) {
-  util::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
-  const auto first = q.pop_batch(3, std::chrono::microseconds(0));
-  EXPECT_EQ(first, (std::vector<int>{0, 1, 2}));
-  const auto rest = q.pop_batch(3, std::chrono::microseconds(0));
-  EXPECT_EQ(rest, (std::vector<int>{3, 4}));
-}
-
-TEST(BoundedQueue, ZeroWindowTakesWhatIsQueuedAtOnce) {
-  util::BoundedQueue<int> q(8);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.try_push(i));
-  // Fewer than max_n queued: a zero window returns them without waiting
-  // for the batch to fill.
-  const auto start = std::chrono::steady_clock::now();
-  const auto first = q.pop_batch(32, std::chrono::microseconds(0));
-  EXPECT_EQ(first, (std::vector<int>{0, 1, 2}));
-  EXPECT_LT(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(100));
-  // A consumer blocked on the empty queue wakes for one item and takes
-  // it alone; an item pushed after that batch closed opens the next.
-  std::vector<std::vector<int>> batches;
-  std::thread consumer([&q, &batches] {
-    batches.push_back(q.pop_batch(32, std::chrono::microseconds(0)));
-  });
-  ASSERT_TRUE(q.try_push(3));
-  consumer.join();
-  ASSERT_TRUE(q.try_push(4));
-  batches.push_back(q.pop_batch(32, std::chrono::microseconds(0)));
-  EXPECT_EQ(batches, (std::vector<std::vector<int>>{{3}, {4}}));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, ConcurrentProducersDrainCompletely) {
-  util::BoundedQueue<int> q(16);
-  constexpr int kPerProducer = 500;
-  std::atomic<int> pushed{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&q, &pushed] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (!q.try_push(i)) std::this_thread::yield();
-        pushed.fetch_add(1);
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&q, &popped] {
-    while (true) {
-      const auto batch = q.pop_batch(8, std::chrono::microseconds(50));
-      if (batch.empty()) return;  // closed and drained
-      popped.fetch_add(static_cast<int>(batch.size()));
-    }
-  });
-  for (auto& t : producers) t.join();
-  q.close();
-  consumer.join();
-  EXPECT_EQ(pushed.load(), 3 * kPerProducer);
-  EXPECT_EQ(popped.load(), 3 * kPerProducer);
 }
 
 // -- daemon end to end ------------------------------------------------------
@@ -466,7 +393,7 @@ TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
     ASSERT_TRUE(client.read_reply(&reply));
     ASSERT_EQ(reply.type, FrameType::kPong);
   };
-  // The reaper runs on the accept thread's 100 ms poll tick.
+  // Give the loop time to close each finished connection.
   const auto settle = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
   };
@@ -481,6 +408,107 @@ TEST_F(ServeTest, ClosedConnectionsReleaseTheirThreads) {
   // Unjoined, the 200 threads would add two mappings each (stack and
   // guard page); allocator noise stays far below that.
   EXPECT_LT(after, before + 40) << before << " -> " << after;
+}
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ServeTest, ThreadCountIsFlatInConnections) {
+  serve::Server server(base_config("many"));
+  server.start();
+  const auto offline = model_->predict(probe_->x);
+  {  // One answered request: the scoring pool is up before the count.
+    auto warm = serve::Client::connect_unix(server.config().unix_socket);
+    warm.send_predict(request_for_row(0, 1));
+    serve::Client::Reply reply;
+    ASSERT_TRUE(warm.read_reply(&reply));
+  }
+  const std::size_t before = count_threads();
+  constexpr std::size_t kClients = 256;
+  std::vector<serve::Client> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(serve::Client::connect_unix(server.config().unix_socket));
+    clients.back().send_predict(request_for_row(c % probe_->x.rows(), c + 1));
+  }
+  for (std::size_t c = 0; c < kClients; ++c) {
+    serve::Client::Reply reply;
+    ASSERT_TRUE(clients[c].read_reply(&reply));
+    ASSERT_EQ(reply.type, FrameType::kPredictResponse);
+    expect_bit_identical(reply.predict.values,
+                         {offline[c % probe_->x.rows()]});
+  }
+  // Every connection is open and has been served, without a thread each.
+  EXPECT_EQ(count_threads(), before);
+  clients.clear();
+  server.stop();
+  EXPECT_EQ(server.stats().connections, kClients + 1);
+}
+
+TEST_F(ServeTest, NonReadingClientDoesNotStallOthers) {
+  // A client that pipelines requests and never reads its replies costs
+  // only itself: once its unsent replies reach the cap the daemon stops
+  // reading it, and every other client is still answered. This test has
+  // a short ctest TIMEOUT (tests/CMakeLists.txt), so a daemon that
+  // wedges on the hog fails it instead of hanging the run.
+  using Clock = std::chrono::steady_clock;
+  serve::Server server(base_config("hog"));
+  server.start();
+
+  const int hog = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(hog, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string& path = server.config().unix_socket;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(hog, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::string window;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    window += serve::encode_predict_request(request_for_row(i, i + 1));
+  }
+  // Pipeline until the hog's own send stays blocked: the daemon has
+  // stopped reading it.
+  std::size_t sent = 0;
+  int blocked_for_ms = 0;
+  while (blocked_for_ms < 300) {
+    ASSERT_LT(sent, std::size_t{256} << 20) << "the daemon never pushed back";
+    const std::size_t at = sent % window.size();
+    const ssize_t n = ::send(hog, window.data() + at, window.size() - at,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+      blocked_for_ms = 0;
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    blocked_for_ms += 20;
+  }
+
+  const auto offline = model_->predict(probe_->x);
+  auto client = serve::Client::connect_unix(path);
+  client.set_recv_timeout_ms(10000);
+  const auto t0 = Clock::now();
+  expect_bit_identical(query_all(client), offline);
+  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
+  client.close();
+
+  // Drain with the hog still connected: it is not owed a wait past the
+  // grace.
+  const auto t1 = Clock::now();
+  server.stop();
+  EXPECT_LT(Clock::now() - t1, std::chrono::seconds(10));
+  ::close(hog);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.responses, stats.requests);
 }
 
 TEST_F(ServeTest, TruncationAtEveryByteBoundaryIsQuarantined) {

@@ -146,8 +146,8 @@ commands:
              long-lived inference daemon: loads the checkpoints into a
              generation-counted model registry and answers framed
              predict requests with work-conserving micro-batching (a
-             batch is whatever is queued, up to --batch-size, once the
-             batcher is free; --batch-wait-us N opts into waiting up to
+             batch is whatever was admitted, up to --batch-size, once
+             the daemon is free; --batch-wait-us N opts into waiting up to
              N us for more, default 0); --shadow serves a candidate
              checkpoint beside production with bit-exact divergence
              accounting; drains gracefully on SIGTERM/SIGINT
